@@ -3,19 +3,18 @@
 The ``impl="native"`` tier replaces the batched NumPy Floyd-Warshall
 relaxation (which materializes an ``(B, n, n)`` broadcast temporary
 per ``k``) with compiled triple loops, and the incremental engine's
-crossing-block rewrite with a single fused C/numba pass.  This bench
+crossing-block rewrite with a single fused C pass.  This bench
 times the two tiers over identical inputs on a grid of problem scales
 and asserts the headline: **>= 3x on at least one n >= 32 leg**, with
 byte-identical outputs on every leg, so the speed is free.
 
 Timing discipline mirrors ``bench_incremental_objective``: tiers
 alternate in paired best-of rounds to cancel machine drift, and the
-native backend is warmed up (JIT / one-time C build) *before* any
+native backend is warmed up (one-time C build) *before* any
 timed region, so compile time is excluded by construction -- the same
 contract the runtime seam keeps via per-worker ``native.warmup()``.
 
-Skipped wholesale when no native backend (numba or a C toolchain)
-is available.
+Skipped wholesale when the native tier cannot load (no C toolchain).
 """
 
 import time
@@ -41,7 +40,7 @@ from benchmarks.conftest import SEED, publish, sa_effort
 
 pytestmark = pytest.mark.skipif(
     "native" not in available_impls(),
-    reason="no native backend (numba or C toolchain) available",
+    reason="native tier unavailable (no C toolchain)",
 )
 
 #: (n, B) legs for the Floyd-Warshall stacks; the paper-effort grid

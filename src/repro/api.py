@@ -28,7 +28,6 @@ now raise :class:`TypeError` with a migration hint naming the
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -167,14 +166,14 @@ class SearchConfig:
         serially, so ``chains`` is -- like ``jobs`` -- a pure
         wall-clock knob, and the two compose: groups are still fanned
         out across ``jobs`` processes.  ``chains > 1`` implies at
-        least that many restarts (see :attr:`effective_restarts`) and
-        is incompatible with ``incremental`` (the O(n^2) engine prices
-        moves one chain at a time by construction).
+        least that many restarts (see :attr:`effective_restarts`).
+        With ``incremental`` each chain prices through its own O(n^2)
+        engine instead of the shared batch.
     impl:
         Floyd-Warshall implementation: ``"vectorized"`` (NumPy,
         default), the pure-Python ``"reference"`` oracle, or the
-        compiled ``"native"`` tier (optional numba / C-extension
-        backends, ``pip install repro[native]``).  ``None`` resolves
+        compiled ``"native"`` tier (a C extension built on demand;
+        needs a C compiler).  ``None`` resolves
         through the ``REPRO_IMPL`` environment default; all tiers are
         bit-identical by the cross-impl parity gates, so ``impl`` is a
         pure wall-clock knob and -- like ``jobs``/``chains`` -- is
@@ -244,13 +243,6 @@ class SearchConfig:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if self.chains < 1:
             raise ConfigurationError(f"chains must be >= 1, got {self.chains}")
-        if self.chains > 1 and self.incremental:
-            raise ConfigurationError(
-                "chains > 1 is incompatible with incremental=True: the "
-                "lockstep population path prices all chains with one "
-                "batched Floyd-Warshall call, while the incremental "
-                "engine prices moves one chain at a time"
-            )
         # Centralized tier resolution: validates the name, applies the
         # REPRO_IMPL environment default when impl is None, and
         # degrades an env-requested but unavailable "native" to

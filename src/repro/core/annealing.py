@@ -13,6 +13,10 @@ The engine follows the paper's setup exactly (Table 1):
 The objective is pluggable (any callable ``RowPlacement -> float``); the
 paper's is the mean row head latency evaluated by directional
 Floyd-Warshall, and Section 5.6.4 swaps in a traffic-weighted variant.
+
+There is one move loop, :func:`anneal_population`, which runs ``K``
+chains in lockstep, each with its own pricing strategy (memoized full
+solves or the incremental engine); :func:`anneal` is its ``K = 1`` call.
 """
 
 from __future__ import annotations
@@ -301,6 +305,204 @@ def _layer_link_counts(state: ConnectionMatrix) -> Counter:
     return counts
 
 
+class _FullPricing:
+    """Default per-chain pricing: a full objective solve behind a memo.
+
+    :meth:`propose` applies the move and decodes the candidate but
+    leaves it unpriced (returns ``None``): the loop prices the pending
+    candidates of all such chains together (:func:`_price_pending`).
+    """
+
+    def __init__(self, objective: Objective) -> None:
+        self.memo = MemoizedObjective(objective)
+        self.candidate: Optional[RowPlacement] = None
+
+    def start(self, state) -> Optional[float]:
+        self.candidate = state.decode()
+        return None
+
+    def propose(self, state, site, current_energy: float) -> Optional[float]:
+        state.flip(*site)
+        return self.start(state)
+
+    def placement(self, state) -> RowPlacement:
+        return self.candidate
+
+    def accept(self, chain: "_Chain", move: int, obs: Instrumentation) -> None:
+        pass
+
+    def reject(self, state, site) -> None:
+        state.flip(*site)
+
+    def report(self, metrics) -> None:
+        pass
+
+
+class _IncrementalPricing:
+    """Per-chain pricing through the O(n^2) dynamic APSP engine.
+
+    Each candidate's link delta is applied to the chain's own
+    :mod:`repro.routing.incremental` engine under a checkpoint, then
+    committed on accept or rolled back on reject.  Every
+    ``resync_every`` accepted moves the engine is compared against a
+    full solve and repaired on mismatch (``sa.resync``).  The memo is
+    an :class:`_IncrementalMemo`, so both strategies agree on every
+    counter at every move.  Row-space only: it needs ``flip_diff``.
+    """
+
+    def __init__(self, objective, resync_every: int) -> None:
+        self.objective = objective
+        self.resync_every = resync_every
+        self.memo = _IncrementalMemo()
+        self.incremental_evals = 0
+        self.full_evals = 1  # the engine's initial build
+        self.selfchecks = self.resyncs = 0
+        self.accepted_since_check = 0
+        self.changes: List[Tuple[int, int, bool]] = []
+        self.added: Tuple = ()
+        self.removed: Tuple = ()
+
+    def start(self, state) -> float:
+        self.evaluator = self.objective.incremental_evaluator(state.decode())
+        self.engine = self.evaluator.engine
+        self.link_counts = _layer_link_counts(state)
+        energy = self.evaluator.energy()
+        self.memo.account(frozenset(self.engine.links))
+        return energy
+
+    def propose(self, state, site, current_energy: float) -> float:
+        added, removed = state.flip_diff(*site)
+        state.flip(*site)
+        counts = self.link_counts
+        changes = []
+        for link in removed:
+            counts[link] -= 1
+            if counts[link] == 0:
+                changes.append((link[0], link[1], False))
+        for link in added:
+            counts[link] += 1
+            if counts[link] == 1:
+                changes.append((link[0], link[1], True))
+        self.added, self.removed, self.changes = added, removed, changes
+        if changes:
+            self.engine.checkpoint()
+            self.engine.apply_link_changes(changes)
+            energy = self.evaluator.energy()
+            self.incremental_evals += 1
+        else:
+            # Layers changed but the decoded placement did not
+            # (duplicate links across layers): same state, same
+            # energy -- exactly what the full strategy's memo returns.
+            energy = current_energy
+        self.memo.account(frozenset(self.engine.links))
+        return energy
+
+    def placement(self, state) -> RowPlacement:
+        return RowPlacement(state.n, frozenset(self.engine.links))
+
+    def accept(self, chain: "_Chain", move: int, obs: Instrumentation) -> None:
+        if self.changes:
+            self.engine.commit()
+        self.accepted_since_check += 1
+        if not self.resync_every or self.accepted_since_check < self.resync_every:
+            return
+        self.accepted_since_check = 0
+        self.selfchecks += 1
+        self.full_evals += 1
+        if self.engine.self_check():
+            return
+        self.resyncs += 1
+        self.full_evals += 1
+        self.engine.resync()
+        repaired = self.evaluator.energy()
+        if obs.enabled:
+            obs.emit("sa.resync", move=move, chain=chain.index,
+                     energy_before=chain.current_energy,
+                     energy_after=repaired,
+                     evaluations=self.memo.evaluations)
+        chain.current_energy = repaired
+
+    def reject(self, state, site) -> None:
+        if self.changes:
+            self.engine.rollback()
+        for link in self.added:
+            self.link_counts[link] -= 1
+        for link in self.removed:
+            self.link_counts[link] += 1
+        state.flip(*site)
+
+    def report(self, metrics) -> None:
+        metrics.counter("sa.eval.incremental").inc(self.incremental_evals)
+        metrics.counter("sa.eval.full").inc(self.full_evals)
+        metrics.counter("sa.selfcheck").inc(self.selfchecks)
+        metrics.counter("sa.resync").inc(self.resyncs)
+
+
+class _Chain:
+    """Mutable state of one chain of the lockstep :func:`anneal_population`
+    loop: matrix state, RNG, pricing strategy, energies, stage
+    accounting and trace."""
+
+    def __init__(self, index: int, state: ConnectionMatrix, gen,
+                 pricing) -> None:
+        self.index = index
+        self.state = state
+        self.gen = gen
+        self.pricing = pricing
+        self.memo = pricing.memo
+        self.current_energy = 0.0
+        self.initial_energy = 0.0
+        self.best_energy = 0.0
+        self.best_placement: Optional[RowPlacement] = None
+        self.trace: List[Tuple[int, float]] = []
+        self.accepted = 0
+        self.uphill = 0
+        self.moves_done = 0
+        self.stage = 0
+        self.stage_moves = 0
+        self.stage_accepted = 0
+        self.stage_uphill = 0
+        self.last_move = 0
+        self.done = False
+        # Per-move scratch between the propose and the accept half-steps.
+        self.site: Tuple[int, ...] = (0, 0)
+        self.pending_energy: Optional[float] = None
+
+
+def _price_pending(pending: Sequence[_Chain], objective: Objective) -> None:
+    """Price the candidates the full-pricing chains left unpriced.
+
+    A lone pending chain is priced through its memo's scalar
+    ``__call__``, so a single chain pays nothing for batching.
+    Otherwise each chain's memo does its own hit/miss accounting
+    (exactly as its serial run would) and the misses of all chains are
+    priced with one ``objective.evaluate_many`` call -- one batched
+    Floyd-Warshall stack per move instead of one per chain.
+    """
+    if len(pending) == 1:
+        chain = pending[0]
+        chain.pending_energy = chain.memo(chain.pricing.candidate)
+        return
+    missed: List[_Chain] = []
+    for chain in pending:
+        value = chain.memo.lookup(chain.pricing.candidate)
+        if value is MemoizedObjective.MISS:
+            missed.append(chain)
+        else:
+            chain.pending_energy = value
+    if not missed:
+        return
+    placements = [c.pricing.candidate for c in missed]
+    batched = getattr(objective, "evaluate_many", None)
+    if batched is None:
+        values = [float(objective(p)) for p in placements]
+    else:
+        values = [float(v) for v in batched(placements)]
+    for chain, placement, value in zip(missed, placements, values):
+        chain.memo.store(placement, value)
+        chain.pending_energy = value
+
+
 def anneal(
     initial: ConnectionMatrix,
     objective: Objective,
@@ -315,18 +517,21 @@ def anneal(
 ) -> AnnealingResult:
     """Run simulated annealing from ``initial`` and return the best state.
 
+    The single-chain entry point: :func:`anneal_population` with one
+    chain.
+
     Parameters
     ----------
     initial:
-        Starting connection matrix (mutated in place during the run; a
-        copy is taken so the caller's object is untouched).  Any state
-        implementing the same move protocol works -- ``copy`` /
-        ``decode`` / ``random_move`` (returning an opaque site tuple) /
-        ``flip(*site)`` (its own inverse) / ``num_connection_points``
-        plus ``n`` and ``link_limit`` attributes -- which is how the
-        hetero and grid2d kernels in :mod:`repro.core.search_space`
-        ride this engine unchanged.  The incremental path additionally
-        needs ``flip_diff`` and stays row-space-only.
+        Starting connection matrix (a copy is annealed; the caller's
+        object is untouched).  Any state implementing the same move
+        protocol works -- ``copy`` / ``decode`` / ``random_move``
+        (returning an opaque site tuple) / ``flip(*site)`` (its own
+        inverse) / ``num_connection_points`` plus ``n`` and
+        ``link_limit`` attributes -- which is how the hetero and grid2d
+        kernels in :mod:`repro.core.search_space` ride this engine
+        unchanged.  The incremental path additionally needs
+        ``flip_diff`` and stays row-space-only.
     objective:
         Energy function on decoded placements; lower is better.
     params:
@@ -363,289 +568,12 @@ def anneal(
         ``sa.resync`` event and repair from the full solve instead of
         corrupting the run.  0 disables the self-check.
     """
-    params = params or AnnealingParams()
-    gen = ensure_rng(rng)
-    obs = ensure_obs(obs)
-    state = initial.copy()
-
-    if incremental:
-        if not hasattr(objective, "incremental_evaluator"):
-            raise ConfigurationError(
-                "incremental annealing needs an objective with an "
-                "incremental_evaluator() (e.g. RowObjective); got "
-                f"{type(objective).__name__}"
-            )
-        start = time.perf_counter()
-        initial_placement = state.decode()
-        evaluator = objective.incremental_evaluator(initial_placement)
-        engine = evaluator.engine
-        link_counts = _layer_link_counts(state)
-        memo = _IncrementalMemo()
-        current_energy = evaluator.energy()
-        memo.account(frozenset(engine.links))
-        best_placement = initial_placement
-        incremental_evals = 0
-        full_evals = 1  # the engine's initial build
-        selfchecks = resyncs = 0
-        accepted_since_check = 0
-    else:
-        evaluator = engine = link_counts = None
-        memo = MemoizedObjective(objective)
-        start = time.perf_counter()
-        current_energy = memo(state.decode())
-        best_placement = state.decode()
-    initial_energy = current_energy
-    best_energy = current_energy
-    trace: List[Tuple[int, float]] = [(memo.evaluations, best_energy)]
-    accepted = 0
-    uphill = 0
-
-    if obs.enabled:
-        obs.emit(
-            "sa.start",
-            move=0,
-            n=state.n,
-            link_limit=state.link_limit,
-            initial_energy=initial_energy,
-            total_moves=params.total_moves,
-            initial_temperature=params.initial_temperature,
-            moves_per_cooldown=params.moves_per_cooldown,
-        )
-
-    if state.num_connection_points == 0:
-        # C = 1 or n = 2: the mesh row is the only state.
-        if obs.enabled:
-            obs.emit("sa.end", move=0, best_energy=best_energy,
-                     evaluations=memo.evaluations, accepted=0, uphill=0)
-        return AnnealingResult(
-            best_placement=best_placement,
-            best_energy=best_energy,
-            initial_energy=initial_energy,
-            evaluations=memo.evaluations,
-            accepted_moves=0,
-            uphill_accepted=0,
-            wall_time_s=time.perf_counter() - start,
-            trace=trace,
-        )
-
-    # Per-cooling-stage accounting (reported via sa.stage events; the
-    # integer bumps are cheap enough to keep unconditionally).
-    stage = 0
-    stage_moves = stage_accepted = stage_uphill = 0
-
-    def _emit_stage(last_move: int) -> None:
-        obs.emit(
-            "sa.stage",
-            move=last_move,
-            stage=stage,
-            temperature=params.temperature(stage * params.moves_per_cooldown),
-            moves=stage_moves,
-            accepted=stage_accepted,
-            uphill=stage_uphill,
-            best_energy=best_energy,
-            current_energy=current_energy,
-            memo_hit_ratio=memo.hit_ratio,
-            evaluations=memo.evaluations,
-        )
-
-    move = 0
-    moves_done = 0
-    for move in range(params.total_moves):
-        if max_evaluations is not None and memo.evaluations >= max_evaluations:
-            break
-        new_stage = move // params.moves_per_cooldown
-        if new_stage != stage:
-            if obs.enabled:
-                _emit_stage(move - 1)
-            stage = new_stage
-            stage_moves = stage_accepted = stage_uphill = 0
-        site = state.random_move(gen)
-        if engine is None:
-            state.flip(*site)
-            candidate = state.decode()
-            energy = memo(candidate)
-        else:
-            added_l, removed_l = state.flip_diff(*site)
-            state.flip(*site)
-            changes = []
-            for link in removed_l:
-                link_counts[link] -= 1
-                if link_counts[link] == 0:
-                    changes.append((link[0], link[1], False))
-            for link in added_l:
-                link_counts[link] += 1
-                if link_counts[link] == 1:
-                    changes.append((link[0], link[1], True))
-            if changes:
-                engine.checkpoint()
-                engine.apply_link_changes(changes)
-                energy = evaluator.energy()
-                incremental_evals += 1
-            else:
-                # Layers changed but the decoded placement did not
-                # (duplicate links across layers): same state, same
-                # energy -- exactly what the full path's memo returns.
-                energy = current_energy
-            memo.account(frozenset(engine.links))
-        delta = energy - current_energy
-        stage_moves += 1
-        moves_done += 1
-        if delta <= 0 or gen.random() < math.exp(-delta / params.temperature(move)):
-            current_energy = energy
-            accepted += 1
-            stage_accepted += 1
-            if delta > 0:
-                uphill += 1
-                stage_uphill += 1
-            if energy < best_energy:
-                best_energy = energy
-                if engine is None:
-                    best_placement = candidate
-                else:
-                    best_placement = RowPlacement(
-                        state.n, frozenset(engine.links)
-                    )
-                if obs.enabled:
-                    obs.emit("sa.best", move=move, energy=best_energy,
-                             evaluations=memo.evaluations)
-            if engine is not None:
-                if changes:
-                    engine.commit()
-                accepted_since_check += 1
-                if resync_every and accepted_since_check >= resync_every:
-                    accepted_since_check = 0
-                    selfchecks += 1
-                    full_evals += 1
-                    if not engine.self_check():
-                        resyncs += 1
-                        full_evals += 1
-                        engine.resync()
-                        repaired = evaluator.energy()
-                        if obs.enabled:
-                            obs.emit("sa.resync", move=move,
-                                     energy_before=current_energy,
-                                     energy_after=repaired,
-                                     evaluations=memo.evaluations)
-                        current_energy = repaired
-        else:
-            if engine is not None:
-                if changes:
-                    engine.rollback()
-                for link in added_l:
-                    link_counts[link] -= 1
-                for link in removed_l:
-                    link_counts[link] += 1
-            state.flip(*site)  # undo
-        if move % trace_every == 0:
-            trace.append((memo.evaluations, best_energy))
-        if progress_every and obs.enabled and move % progress_every == 0:
-            obs.emit("sa.progress", move=move,
-                     current_energy=current_energy, best_energy=best_energy,
-                     evaluations=memo.evaluations,
-                     memo_hit_ratio=memo.hit_ratio)
-
-    trace.append((memo.evaluations, best_energy))
-    if obs.enabled:
-        if stage_moves:
-            _emit_stage(move)
-        obs.emit("sa.end", move=move, best_energy=best_energy,
-                 evaluations=memo.evaluations, accepted=accepted,
-                 uphill=uphill, memo_hit_ratio=memo.hit_ratio,
-                 wall_time_s=time.perf_counter() - start)
-    if not obs.is_null:
-        m = obs.metrics
-        m.counter("sa.moves").inc(moves_done)
-        m.counter("sa.accepted").inc(accepted)
-        m.counter("sa.uphill").inc(uphill)
-        m.counter("sa.evaluations").inc(memo.evaluations)
-        m.counter("sa.memo_hits").inc(memo.hits)
-        m.counter("sa.memo_misses").inc(memo.misses)
-        m.gauge("sa.memo_hit_ratio").set(memo.hit_ratio)
-        m.gauge("sa.best_energy").set(best_energy)
-        # Wall-derived rate: excluded from the deterministic summary.
-        m.meter("sa.move_rate").add(moves_done, time.perf_counter() - start)
-        if engine is not None:
-            m.counter("sa.eval.incremental").inc(incremental_evals)
-            m.counter("sa.eval.full").inc(full_evals)
-            m.counter("sa.selfcheck").inc(selfchecks)
-            m.counter("sa.resync").inc(resyncs)
-    return AnnealingResult(
-        best_placement=best_placement,
-        best_energy=best_energy,
-        initial_energy=initial_energy,
-        evaluations=memo.evaluations,
-        accepted_moves=accepted,
-        uphill_accepted=uphill,
-        wall_time_s=time.perf_counter() - start,
-        trace=trace,
-    )
-
-
-class _Chain:
-    """Mutable per-chain state of a lockstep :func:`anneal_population` run.
-
-    Holds exactly what one serial :func:`anneal` call keeps in local
-    variables, so the population loop can interleave K chains while
-    each one still walks its private trajectory: matrix state, RNG,
-    memo, energies, stage accounting and trace.
-    """
-
-    def __init__(self, index: int, state: ConnectionMatrix, gen,
-                 memo: MemoizedObjective) -> None:
-        self.index = index
-        self.state = state
-        self.gen = gen
-        self.memo = memo
-        self.current_energy = 0.0
-        self.initial_energy = 0.0
-        self.best_energy = 0.0
-        self.best_placement: Optional[RowPlacement] = None
-        self.trace: List[Tuple[int, float]] = []
-        self.accepted = 0
-        self.uphill = 0
-        self.moves_done = 0
-        self.stage = 0
-        self.stage_moves = 0
-        self.stage_accepted = 0
-        self.stage_uphill = 0
-        self.last_move = 0
-        self.done = False
-        # Per-move scratch between the propose and the accept half-steps.
-        self.candidate: Optional[RowPlacement] = None
-        self.site: Tuple[int, ...] = (0, 0)
-        self.pending_energy = 0.0
-
-
-def _price_chain_candidates(
-    entries: Sequence[Tuple[_Chain, RowPlacement]],
-    objective: Objective,
-) -> None:
-    """Price one candidate per chain, batching all memo misses together.
-
-    Each chain's private memo does its own hit/miss accounting (exactly
-    as its serial run would), and the misses from every chain are
-    priced with a single ``objective.evaluate_many`` call -- the one
-    batched Floyd-Warshall stack per move that makes lockstep chains
-    pay for one kernel launch instead of K.  Results land in each
-    chain's ``pending_energy``.
-    """
-    missed: List[Tuple[_Chain, RowPlacement]] = []
-    for chain, placement in entries:
-        value = chain.memo.lookup(placement)
-        if value is chain.memo.MISS:
-            missed.append((chain, placement))
-        else:
-            chain.pending_energy = value
-    if not missed:
-        return
-    batched = getattr(objective, "evaluate_many", None)
-    if batched is None:
-        values = [float(objective(p)) for _, p in missed]
-    else:
-        values = [float(v) for v in batched([p for _, p in missed])]
-    for (chain, placement), value in zip(missed, values):
-        chain.memo.store(placement, value)
-        chain.pending_energy = value
+    return anneal_population(
+        [initial], objective, params=params, rngs=[rng],
+        max_evaluations=max_evaluations, trace_every=trace_every, obs=obs,
+        progress_every=progress_every, incremental=incremental,
+        resync_every=resync_every,
+    )[0]
 
 
 def anneal_population(
@@ -656,60 +584,72 @@ def anneal_population(
     max_evaluations: Optional[int] = None,
     trace_every: int = 1,
     obs: Optional[Instrumentation] = None,
+    progress_every: int = 0,
+    incremental: bool = False,
+    resync_every: int = 1_000,
 ) -> List[AnnealingResult]:
-    """Run ``K = len(initials)`` SA chains in lockstep, batching energies.
+    """Run ``K = len(initials)`` SA chains in lockstep -- the SA move loop.
 
-    Trajectory-equivalent to ``K`` serial :func:`anneal` calls: chain
-    ``k`` started from ``initials[k]`` with ``rngs[k]`` produces the
-    byte-identical :class:`AnnealingResult` (placement, energies,
-    counters, trace) it would produce alone, because each chain keeps
-    its own RNG stream, memo and accept/reject bookkeeping -- the only
-    thing shared is the kernel launch: every move, the candidates of
-    all live chains that miss their memo are priced by one
-    ``objective.evaluate_many`` batch (one ``(2B, n, n)``
-    Floyd-Warshall stack) instead of one stack per chain.
+    Chain ``k`` starts from ``initials[k]`` with ``rngs[k]`` and keeps
+    its own RNG stream, pricing strategy and accept/reject bookkeeping,
+    so it produces the byte-identical :class:`AnnealingResult`
+    (placement, energies, counters, trace) whatever else runs beside
+    it.  Each chain prices its candidates with one of two strategies:
+
+    * full (default): a :class:`MemoizedObjective` per chain; every
+      move, the candidates of all live chains that miss their memo are
+      priced by one ``objective.evaluate_many`` batch (one
+      ``(2B, n, n)`` Floyd-Warshall stack) instead of one stack per
+      chain -- or by the memo's scalar call when a single chain is live;
+    * ``incremental=True``: the O(n^2) dynamic APSP engine, one per
+      chain (see :func:`anneal`).
 
     ``rngs`` supplies one seed/generator per chain (``None`` entries --
-    or ``rngs=None`` altogether -- draw fresh entropy, as serial
-    ``anneal(rng=None)`` would).  The multi-restart engine passes
+    or ``rngs=None`` altogether -- draw fresh entropy, as
+    ``anneal(rng=None)`` does).  The multi-restart engine passes
     ``derived_rng(base_seed, C, restart)`` streams so ``chains=K``
-    reproduces ``K`` serial restarts exactly.  ``params``,
-    ``max_evaluations`` (a per-chain cap) and ``trace_every`` mean what
-    they mean on :func:`anneal`; chains that exhaust their budget drop
-    out of the lockstep individually.  The incremental engine is not
-    supported here -- its per-move pricing is already O(n^2) and
-    gains nothing from batching.
+    reproduces ``K`` separate restarts exactly.  The other parameters
+    mean what they mean on :func:`anneal`; ``max_evaluations`` is a
+    per-chain cap, and chains that exhaust it drop out of the lockstep
+    individually.
 
-    With ``obs`` attached, the per-chain ``sa.*`` events carry a
-    ``chain`` field; metrics are folded per chain in index order, so
-    totals equal the serial runs' merged totals.
+    With ``obs`` attached, every ``sa.*`` event carries a ``chain``
+    field (the chain's index); metrics are folded per chain in index
+    order, so totals equal the separate runs' merged totals.
     """
     params = params or AnnealingParams()
     obs = ensure_obs(obs)
     initials = list(initials)
     if not initials:
         return []
-    if rngs is None:
-        rngs = [None] * len(initials)
-    rngs = list(rngs)
+    rngs = [None] * len(initials) if rngs is None else list(rngs)
     if len(rngs) != len(initials):
         raise ConfigurationError(
             f"anneal_population got {len(initials)} initial states but "
             f"{len(rngs)} RNG streams"
         )
+    if incremental and not hasattr(objective, "incremental_evaluator"):
+        raise ConfigurationError(
+            "incremental annealing needs an objective with an "
+            "incremental_evaluator() (e.g. RowObjective); got "
+            f"{type(objective).__name__}"
+        )
     start = time.perf_counter()
     chains = [
-        _Chain(k, initial.copy(), ensure_rng(rng), MemoizedObjective(objective))
+        _Chain(
+            k, initial.copy(), ensure_rng(rng),
+            _IncrementalPricing(objective, resync_every) if incremental
+            else _FullPricing(objective),
+        )
         for k, (initial, rng) in enumerate(zip(initials, rngs))
     ]
 
-    # Initial energies: one batch across all chains.
-    _price_chain_candidates(
-        [(c, c.state.decode()) for c in chains], objective
-    )
+    for c in chains:
+        c.pending_energy = c.pricing.start(c.state)
+    _price_pending([c for c in chains if c.pending_energy is None], objective)
     for c in chains:
         c.current_energy = c.initial_energy = c.best_energy = c.pending_energy
-        c.best_placement = c.state.decode()
+        c.best_placement = c.pricing.placement(c.state)
         c.trace.append((c.memo.evaluations, c.best_energy))
         if obs.enabled:
             obs.emit(
@@ -747,41 +687,40 @@ def anneal_population(
             evaluations=c.memo.evaluations,
         )
 
+    live = [c for c in chains if not c.done]
     for move in range(params.total_moves):
-        live: List[_Chain] = []
-        for c in chains:
-            if c.done:
-                continue
-            if (max_evaluations is not None
-                    and c.memo.evaluations >= max_evaluations):
-                # Serial anneal breaks at the top of this move; its final
-                # events carry this move index, so record it before
-                # retiring the chain.
-                c.last_move = move
-                c.done = True
-                continue
-            live.append(c)
+        if max_evaluations is not None:
+            for c in live:
+                if c.memo.evaluations >= max_evaluations:
+                    # The chain stops at the top of this move; its final
+                    # events carry this move index.
+                    c.last_move = move
+                    c.done = True
+            live = [c for c in live if not c.done]
         if not live:
             break
+        stage = move // params.moves_per_cooldown
+        pending = []
         for c in live:
             c.last_move = move
-            new_stage = move // params.moves_per_cooldown
-            if new_stage != c.stage:
+            if stage != c.stage:
                 if obs.enabled:
                     _emit_stage(c, move - 1)
-                c.stage = new_stage
+                c.stage = stage
                 c.stage_moves = c.stage_accepted = c.stage_uphill = 0
             c.site = c.state.random_move(c.gen)
-            c.state.flip(*c.site)
-            c.candidate = c.state.decode()
-        _price_chain_candidates([(c, c.candidate) for c in live], objective)
-        temperature = params.temperature(move)
+            c.pending_energy = c.pricing.propose(c.state, c.site, c.current_energy)
+            if c.pending_energy is None:
+                pending.append(c)
+        if pending:
+            _price_pending(pending, objective)
         for c in live:
             energy = c.pending_energy
             delta = energy - c.current_energy
             c.stage_moves += 1
             c.moves_done += 1
-            if delta <= 0 or c.gen.random() < math.exp(-delta / temperature):
+            if (delta <= 0 or c.gen.random()
+                    < math.exp(-delta / params.temperature(move))):
                 c.current_energy = energy
                 c.accepted += 1
                 c.stage_accepted += 1
@@ -790,21 +729,27 @@ def anneal_population(
                     c.stage_uphill += 1
                 if energy < c.best_energy:
                     c.best_energy = energy
-                    c.best_placement = c.candidate
+                    c.best_placement = c.pricing.placement(c.state)
                     if obs.enabled:
                         obs.emit("sa.best", move=move, chain=c.index,
                                  energy=c.best_energy,
                                  evaluations=c.memo.evaluations)
+                c.pricing.accept(c, move, obs)
             else:
-                c.state.flip(*c.site)  # undo
+                c.pricing.reject(c.state, c.site)
             if move % trace_every == 0:
                 c.trace.append((c.memo.evaluations, c.best_energy))
+            if progress_every and obs.enabled and move % progress_every == 0:
+                obs.emit("sa.progress", move=move, chain=c.index,
+                         current_energy=c.current_energy,
+                         best_energy=c.best_energy,
+                         evaluations=c.memo.evaluations,
+                         memo_hit_ratio=c.memo.hit_ratio)
 
     wall = time.perf_counter() - start
     results: List[AnnealingResult] = []
     for c in chains:
-        finished_loop = c.state.num_connection_points > 0
-        if finished_loop:
+        if c.state.num_connection_points > 0:
             c.trace.append((c.memo.evaluations, c.best_energy))
             if obs.enabled:
                 if c.stage_moves:
@@ -814,17 +759,19 @@ def anneal_population(
                          evaluations=c.memo.evaluations, accepted=c.accepted,
                          uphill=c.uphill, memo_hit_ratio=c.memo.hit_ratio,
                          wall_time_s=wall)
-        if not obs.is_null:
-            m = obs.metrics
-            m.counter("sa.moves").inc(c.moves_done)
-            m.counter("sa.accepted").inc(c.accepted)
-            m.counter("sa.uphill").inc(c.uphill)
-            m.counter("sa.evaluations").inc(c.memo.evaluations)
-            m.counter("sa.memo_hits").inc(c.memo.hits)
-            m.counter("sa.memo_misses").inc(c.memo.misses)
-            m.gauge("sa.memo_hit_ratio").set(c.memo.hit_ratio)
-            m.gauge("sa.best_energy").set(c.best_energy)
-            m.meter("sa.move_rate").add(c.moves_done, wall)
+            if not obs.is_null:
+                m = obs.metrics
+                m.counter("sa.moves").inc(c.moves_done)
+                m.counter("sa.accepted").inc(c.accepted)
+                m.counter("sa.uphill").inc(c.uphill)
+                m.counter("sa.evaluations").inc(c.memo.evaluations)
+                m.counter("sa.memo_hits").inc(c.memo.hits)
+                m.counter("sa.memo_misses").inc(c.memo.misses)
+                m.gauge("sa.memo_hit_ratio").set(c.memo.hit_ratio)
+                m.gauge("sa.best_energy").set(c.best_energy)
+                # Wall-derived rate: excluded from the deterministic summary.
+                m.meter("sa.move_rate").add(c.moves_done, wall)
+                c.pricing.report(m)
         results.append(AnnealingResult(
             best_placement=c.best_placement,
             best_energy=c.best_energy,

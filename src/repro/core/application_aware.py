@@ -191,8 +191,9 @@ def optimize_application_aware(
             cost=cost, weights=tuple(map(tuple, weights.tolist()))
         )
         return _solve_row(
-            n, link_limit, method=method, objective=objective, params=params, rng=gen
-        )
+            n, link_limit, rngs=[gen], method=method, objective=objective,
+            params=params,
+        )[0]
 
     row_solutions = tuple(solve(w) for w in rw)
     col_solutions = tuple(solve(w) for w in cw)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import PlacementResult, SearchConfig, reject_legacy_kwargs
 from repro.core.annealing import (
@@ -26,6 +26,7 @@ from repro.core.annealing import (
     AnnealingResult,
     Objective,
     anneal,
+    anneal_population,
 )
 from repro.core.branch_bound import (
     ExactResult,
@@ -181,7 +182,8 @@ def solve_row_problem(
             restarts=config.effective_restarts, jobs=config.jobs,
             chains=config.chains,
             incremental=config.incremental,
-            resync_every=config.resync_every, obs=obs,
+            resync_every=config.resync_every,
+            progress_every=config.metrics_every, obs=obs,
         )
         if warm_start is not None:
             kwargs = {} if cost is None else {"cost": cost}
@@ -192,13 +194,13 @@ def solve_row_problem(
             )
         return PlacementResult.from_solution(solution, config)
     solution = _solve_row(
-        n, link_limit, method=method, objective=objective,
-        params=params, rng=config.seed,
+        n, link_limit, rngs=[config.seed], method=method,
+        objective=objective, params=params,
         max_evaluations=config.max_evaluations, obs=obs,
         progress_every=config.metrics_every, impl=config.impl,
         incremental=config.incremental,
         resync_every=config.resync_every,
-    )
+    )[0]
     if warm_start is not None:
         pricing = objective if objective is not None else RowObjective(impl=config.impl)
         solution = inject_warm_candidate(solution, warm_start, pricing)
@@ -241,26 +243,34 @@ def _solve_row(
     n: int,
     link_limit: int,
     *,
+    rngs: Sequence,
     method: str = "dc_sa",
     objective: Objective | None = None,
     params: AnnealingParams | None = None,
-    rng=None,
     max_evaluations: Optional[int] = None,
     obs: Optional[Instrumentation] = None,
     progress_every: int = 0,
     impl: str = "vectorized",
     incremental: bool = False,
     resync_every: int = 1_000,
-) -> RowSolution:
-    """Single-chain ``P~(n, C)`` solve (internal: no shim, ``rng`` may
-    be a shared generator)."""
+) -> List[RowSolution]:
+    """Solve ``P~(n, C)`` with one SA chain per entry of ``rngs``.
+
+    Internal: no legacy-keyword shim, and a stream may be a generator
+    the caller shares across solves.  Returns one :class:`RowSolution`
+    per stream, in order.  ``dc_sa`` computes the deterministic D&C
+    seed once and starts every chain from it; ``only_sa`` draws each
+    chain's random start from that chain's own stream, which then
+    drives its SA moves.  ``exact`` ignores the streams: one exhaustive
+    search, reported once per stream.
+    """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
     obs = ensure_obs(obs)
     if objective is None:
         objective = RowObjective(impl=impl, obs=None if obs.is_null else obs)
     params = params or AnnealingParams()
-    gen = ensure_rng(rng)
+    gens = [ensure_rng(rng) for rng in rngs]
     limit = effective_link_limit(n, link_limit)
     start = time.perf_counter()
     if obs.enabled:
@@ -269,7 +279,7 @@ def _solve_row(
     if method == "exact":
         with obs.span("solve.exact"):
             exact = exhaustive_matrix_search(n, limit, objective)
-        return RowSolution(
+        return [RowSolution(
             n=n,
             link_limit=link_limit,
             placement=exact.placement,
@@ -278,42 +288,45 @@ def _solve_row(
             evaluations=exact.evaluations,
             wall_time_s=time.perf_counter() - start,
             exact=exact,
-        )
+        )] * len(gens)
 
     seed: Optional[InitialSolution] = None
     if method == "dc_sa":
         seed = initial_solution(n, limit, objective, obs=obs)
-        matrix = ConnectionMatrix.from_placement(seed.placement, limit)
+        initials = [ConnectionMatrix.from_placement(seed.placement, limit)] * len(gens)
     else:  # only_sa
-        matrix = ConnectionMatrix.random(n, limit, gen)
+        initials = [ConnectionMatrix.random(n, limit, gen) for gen in gens]
 
-    with obs.span("solve.anneal"):
-        sa = anneal(
-            matrix,
-            objective,
-            params=params,
-            rng=gen,
-            max_evaluations=max_evaluations,
-            obs=obs,
-            progress_every=progress_every,
-            incremental=incremental,
-            resync_every=resync_every,
-        )
-    placement, energy = sa.best_placement, sa.best_energy
-    if seed is not None and seed.energy < energy:
-        placement, energy = seed.placement, seed.energy
-    evaluations = sa.evaluations + (seed.evaluations if seed else 0)
-    return RowSolution(
-        n=n,
-        link_limit=link_limit,
-        placement=placement,
-        energy=energy,
-        method=method,
-        evaluations=evaluations,
-        wall_time_s=time.perf_counter() - start,
-        annealing=sa,
-        seed_solution=seed,
+    options = dict(
+        params=params, max_evaluations=max_evaluations, obs=obs,
+        progress_every=progress_every, incremental=incremental,
+        resync_every=resync_every,
     )
+    with obs.span("solve.anneal"):
+        if len(gens) == 1:
+            # One chain enters through anneal, the annealer's own
+            # profiling layer; it runs the same lockstep loop.
+            sas = [anneal(initials[0], objective, rng=gens[0], **options)]
+        else:
+            sas = anneal_population(initials, objective, rngs=gens, **options)
+    wall = time.perf_counter() - start
+    solutions = []
+    for sa in sas:
+        placement, energy = sa.best_placement, sa.best_energy
+        if seed is not None and seed.energy < energy:
+            placement, energy = seed.placement, seed.energy
+        solutions.append(RowSolution(
+            n=n,
+            link_limit=link_limit,
+            placement=placement,
+            energy=energy,
+            method=method,
+            evaluations=sa.evaluations + (seed.evaluations if seed else 0),
+            wall_time_s=wall,
+            annealing=sa,
+            seed_solution=seed,
+        ))
+    return solutions
 
 
 def design_point(
@@ -396,9 +409,9 @@ def optimize_rectangular(
                 solved[dim] = RowPlacement.mesh(dim)
             else:
                 solved[dim] = _solve_row(
-                    dim, limit, method=method, objective=objective,
-                    params=params, rng=gen,
-                ).placement
+                    dim, limit, rngs=[gen], method=method,
+                    objective=objective, params=params,
+                )[0].placement
         row, col = solved[width], solved[height]
         head = mean_row_head_latency(row, cost) + mean_row_head_latency(col, cost)
         points[limit] = RectDesignPoint(
@@ -498,6 +511,7 @@ def optimize(
             impl=config.impl,
             incremental=config.incremental,
             resync_every=config.resync_every,
+            progress_every=config.metrics_every,
             obs=obs,
         )
         if warm_start is not None:
@@ -532,15 +546,16 @@ def optimize(
             solution = _solve_row(
                 n,
                 limit,
+                rngs=[gen],
                 method=method,
                 objective=objective,
                 params=params,
-                rng=gen,
                 max_evaluations=config.max_evaluations,
                 obs=obs,
+                progress_every=config.metrics_every,
                 incremental=config.incremental,
                 resync_every=config.resync_every,
-            )
+            )[0]
         result.solutions[limit] = solution
         result.points[limit] = design_point(
             solution.placement, limit, bandwidth, mix, cost

@@ -32,16 +32,13 @@ same task functions in the same order, just inline).
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.annealing import AnnealingParams, anneal_population
-from repro.core.branch_bound import effective_link_limit, validated_link_limit
-from repro.core.connection_matrix import ConnectionMatrix
-from repro.core.divide_conquer import initial_solution
+from repro.core.annealing import AnnealingParams
+from repro.core.branch_bound import validated_link_limit
 from repro.core.latency import BandwidthConfig, PacketMix, RowObjective
 from repro.core.optimizer import (
     METHODS,
@@ -55,7 +52,7 @@ from repro.obs.sinks import MemorySink
 from repro.routing.shortest_path import HopCostModel
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
-from repro.util.rngtools import derived_rng, ensure_rng, fresh_entropy
+from repro.util.rngtools import derived_rng, fresh_entropy
 
 
 @dataclass(frozen=True)
@@ -65,11 +62,10 @@ class SearchTask:
     Tasks are frozen, picklable value objects -- everything a worker
     needs and nothing it could share, which is what makes the fork/spawn
     boundary safe and the result a pure function of the task.
-    ``restarts`` holds the restart indices of the group: a singleton
-    runs the plain serial chain, a longer tuple runs the group in
-    lockstep (:func:`repro.core.annealing.anneal_population`) -- one
-    batched objective call per move across the group, byte-identical
-    trajectories either way.
+    ``restarts`` holds the restart indices of the group, run as lockstep
+    chains (:func:`repro.core.annealing.anneal_population`): one batched
+    objective call per move across the group, and trajectories
+    byte-identical to running each restart alone.
     """
 
     n: int
@@ -85,6 +81,7 @@ class SearchTask:
     capture_events: bool
     incremental: bool = False
     resync_every: int = 1_000
+    progress_every: int = 0
 
 
 @dataclass
@@ -119,15 +116,26 @@ def _chain_groups(restarts: int, chains: int) -> List[Tuple[int, ...]]:
     ]
 
 
-def _run_single(task: SearchTask, restart: int) -> TaskResult:
-    """Execute one restart of a task through the serial solve path."""
+def _run_task(task: SearchTask) -> List[TaskResult]:
+    """Execute one task (module-level so it pickles for pool workers).
+
+    Returns one :class:`TaskResult` per restart in the group, in
+    restart order.  Each chain draws its stream from
+    ``derived_rng(base_seed, C, restart)``, so a restart computes the
+    same chain in any group.  The group shares one event sink; its
+    events and metrics ride on the first restart's result so the
+    parent-side merge sees them exactly once.
+    """
     # NB: an empty MemorySink is falsy (it has __len__), so the guards
     # here must compare against None explicitly.
     sink = MemorySink() if task.capture_events else None
     obs = Instrumentation(sinks=[] if sink is None else [sink])
-    obs.set_context(task=[task.link_limit, restart])
+    restarts = task.restarts
+    obs.set_context(
+        task=[task.link_limit, restarts[0] if len(restarts) == 1 else list(restarts)]
+    )
     # Under impl="native", constructing the objective warms the
-    # compiled backend up (JIT / shared-object load, once per worker
+    # compiled backend up (shared-object load, once per worker
     # process) before any solve span opens; the cost is reported as a
     # kernel.compile event on this worker's sink instead of polluting
     # the latency.floyd_warshall span.
@@ -137,100 +145,21 @@ def _run_single(task: SearchTask, restart: int) -> TaskResult:
         impl=task.impl,
         obs=None if obs.is_null else obs,
     )
-    solution = _solve_row(
+    solutions = _solve_row(
         task.n,
         task.link_limit,
+        rngs=[derived_rng(task.base_seed, task.link_limit, r) for r in restarts],
         method=task.method,
         objective=objective,
         params=task.params,
-        rng=derived_rng(task.base_seed, task.link_limit, restart),
         max_evaluations=task.max_evaluations,
         obs=obs,
+        progress_every=task.progress_every,
         incremental=task.incremental,
         resync_every=task.resync_every,
     )
-    return TaskResult(
-        link_limit=task.link_limit,
-        restart=restart,
-        solution=solution,
-        events=[] if sink is None else [e.to_dict() for e in sink.events],
-        metrics=obs.metrics.snapshot(),
-    )
-
-
-def _run_population(task: SearchTask) -> List[TaskResult]:
-    """Execute a whole restart group in lockstep.
-
-    Mirrors the serial ``_solve_row`` SA flow per chain exactly: the
-    deterministic D&C seed is computed once (every serial restart
-    would recompute the identical solution), each chain draws its
-    matrix and stream from ``derived_rng(base_seed, C, restart)`` just
-    as its serial run would, and :func:`anneal_population` interleaves
-    the chains with one batched objective call per move.  The group
-    shares one event sink; its events and metrics ride on the first
-    restart's :class:`TaskResult` so the parent-side merge sees them
-    exactly once.
-    """
-    sink = MemorySink() if task.capture_events else None
-    obs = Instrumentation(sinks=[] if sink is None else [sink])
-    obs.set_context(task=[task.link_limit, list(task.restarts)])
-    # Native warm-up once per worker process, outside all solve spans
-    # (see _run_single).
-    objective = RowObjective(
-        cost=task.cost,
-        weights=task.weights,
-        impl=task.impl,
-        obs=None if obs.is_null else obs,
-    )
-    limit = effective_link_limit(task.n, task.link_limit)
-    start = time.perf_counter()
-    if obs.enabled:
-        obs.emit("solve.start", n=task.n, link_limit=task.link_limit,
-                 method=task.method, chains=list(task.restarts))
-
-    seed = None
-    initials, rngs = [], []
-    if task.method == "dc_sa":
-        seed = initial_solution(task.n, limit, objective, obs=obs)
-        for restart in task.restarts:
-            initials.append(ConnectionMatrix.from_placement(seed.placement, limit))
-            rngs.append(
-                ensure_rng(derived_rng(task.base_seed, task.link_limit, restart))
-            )
-    else:  # only_sa: the matrix draw and the SA stream share one generator
-        for restart in task.restarts:
-            gen = ensure_rng(derived_rng(task.base_seed, task.link_limit, restart))
-            initials.append(ConnectionMatrix.random(task.n, limit, gen))
-            rngs.append(gen)
-
-    sas = anneal_population(
-        initials,
-        objective,
-        params=task.params,
-        rngs=rngs,
-        max_evaluations=task.max_evaluations,
-        obs=obs,
-    )
-    wall = time.perf_counter() - start
-
-    results = []
-    for idx, (restart, sa) in enumerate(zip(task.restarts, sas)):
-        placement, energy = sa.best_placement, sa.best_energy
-        if seed is not None and seed.energy < energy:
-            placement, energy = seed.placement, seed.energy
-        evaluations = sa.evaluations + (seed.evaluations if seed else 0)
-        solution = RowSolution(
-            n=task.n,
-            link_limit=task.link_limit,
-            placement=placement,
-            energy=energy,
-            method=task.method,
-            evaluations=evaluations,
-            wall_time_s=wall,
-            annealing=sa,
-            seed_solution=seed,
-        )
-        results.append(TaskResult(
+    return [
+        TaskResult(
             link_limit=task.link_limit,
             restart=restart,
             solution=solution,
@@ -239,23 +168,9 @@ def _run_population(task: SearchTask) -> List[TaskResult]:
                 if sink is not None and idx == 0 else []
             ),
             metrics=obs.metrics.snapshot() if idx == 0 else {},
-        ))
-    return results
-
-
-def _run_task(task: SearchTask) -> List[TaskResult]:
-    """Execute one task (module-level so it pickles for pool workers).
-
-    Returns one :class:`TaskResult` per restart in the group, in
-    restart order.  Groups of one, exact solves (no SA to interleave)
-    and incremental-engine runs (per-move O(n^2) pricing, nothing to
-    batch) take the serial per-restart path; everything else runs the
-    lockstep population path -- the results are byte-identical, only
-    the kernel-launch count differs.
-    """
-    if len(task.restarts) == 1 or task.method == "exact" or task.incremental:
-        return [_run_single(task, restart) for restart in task.restarts]
-    return _run_population(task)
+        )
+        for idx, (restart, solution) in enumerate(zip(restarts, solutions))
+    ]
 
 
 def parallel_map(fn, items: Sequence, jobs: int) -> List:
@@ -298,7 +213,7 @@ def best_of(results: Sequence[TaskResult]) -> TaskResult:
     return min(results, key=lambda r: (r.solution.energy, r.restart))
 
 
-def _check_grid(restarts: int, jobs: int, chains: int, incremental: bool) -> int:
+def _check_grid(restarts: int, jobs: int, chains: int) -> int:
     """Validate the execution grid; returns the effective restart count.
 
     ``chains=K`` alone means "run K lockstep chains", so the restart
@@ -311,11 +226,6 @@ def _check_grid(restarts: int, jobs: int, chains: int, incremental: bool) -> int
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if chains < 1:
         raise ConfigurationError(f"chains must be >= 1, got {chains}")
-    if chains > 1 and incremental:
-        raise ConfigurationError(
-            "chains > 1 is incompatible with the incremental engine "
-            "(per-move O(n^2) pricing has nothing to batch)"
-        )
     return max(restarts, chains)
 
 
@@ -357,37 +267,12 @@ def _merge_observability(
 
 
 def _build_tasks(
-    n: int,
-    limits: Sequence[int],
-    restarts: int,
-    method: str,
-    params: AnnealingParams,
-    cost: HopCostModel,
-    weights,
-    impl: str,
-    base_seed: int,
-    max_evaluations: Optional[int],
-    capture_events: bool,
-    incremental: bool = False,
-    resync_every: int = 1_000,
-    chains: int = 1,
+    limits: Sequence[int], restarts: int, chains: int, **fields
 ) -> List[SearchTask]:
+    """One task per ``(C, chain group)``; ``fields`` are the other
+    :class:`SearchTask` fields, shared by every task."""
     return [
-        SearchTask(
-            n=n,
-            link_limit=limit,
-            restarts=group,
-            method=method,
-            params=params,
-            cost=cost,
-            weights=weights,
-            impl=impl,
-            base_seed=base_seed,
-            max_evaluations=max_evaluations,
-            capture_events=capture_events,
-            incremental=incremental,
-            resync_every=resync_every,
-        )
+        SearchTask(link_limit=limit, restarts=group, **fields)
         for limit in limits
         for group in _chain_groups(restarts, chains)
     ]
@@ -408,6 +293,7 @@ def parallel_row_search(
     chains: int = 1,
     incremental: bool = False,
     resync_every: int = 1_000,
+    progress_every: int = 0,
     obs: Optional[Instrumentation] = None,
 ) -> Tuple[RowSolution, Tuple[float, ...]]:
     """Multi-restart solve of one ``P~(n, C)`` instance.
@@ -420,15 +306,17 @@ def parallel_row_search(
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    restarts = _check_grid(restarts, jobs, chains, incremental)
+    restarts = _check_grid(restarts, jobs, chains)
     obs = ensure_obs(obs)
     seed = _require_base_seed(base_seed)
     limit = validated_link_limit(n, link_limit, obs)
     tasks = _build_tasks(
-        n, [limit], restarts, method, params or AnnealingParams(),
-        cost or HopCostModel(), weights, impl, seed, max_evaluations,
-        capture_events=obs.enabled, incremental=incremental,
-        resync_every=resync_every, chains=chains,
+        [limit], restarts, chains, n=n, method=method,
+        params=params or AnnealingParams(), cost=cost or HopCostModel(),
+        weights=weights, impl=impl, base_seed=seed,
+        max_evaluations=max_evaluations, capture_events=obs.enabled,
+        incremental=incremental, resync_every=resync_every,
+        progress_every=progress_every,
     )
     if obs.enabled:
         obs.emit("parallel.start", n=n, link_limit=limit, method=method,
@@ -465,6 +353,7 @@ def parallel_sweep(
     impl: str = "vectorized",
     incremental: bool = False,
     resync_every: int = 1_000,
+    progress_every: int = 0,
     obs: Optional[Instrumentation] = None,
 ) -> SweepResult:
     """Full ``C`` sweep with ``restarts`` SA chains per limit.
@@ -481,7 +370,7 @@ def parallel_sweep(
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    restarts = _check_grid(restarts, jobs, chains, incremental)
+    restarts = _check_grid(restarts, jobs, chains)
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
     cost = cost or HopCostModel()
@@ -495,9 +384,11 @@ def parallel_sweep(
 
     searched = [c for c in limits if c > 1]
     tasks = _build_tasks(
-        n, searched, restarts, method, params, cost, weights, impl, seed,
-        max_evaluations, capture_events=obs.enabled,
-        incremental=incremental, resync_every=resync_every, chains=chains,
+        searched, restarts, chains, n=n, method=method, params=params,
+        cost=cost, weights=weights, impl=impl, base_seed=seed,
+        max_evaluations=max_evaluations, capture_events=obs.enabled,
+        incremental=incremental, resync_every=resync_every,
+        progress_every=progress_every,
     )
     if obs.enabled:
         obs.emit("parallel.start", n=n, method=method, restarts=restarts,

@@ -610,13 +610,13 @@ def _run_front_task(task: _FrontTask) -> _TaskOutcome:
     solution = _solve_row(
         spec.n,
         spec.link_limit,
+        rngs=[rng],
         method=method,
         objective=objective,
         params=task.params,
-        rng=rng,
         max_evaluations=task.max_evaluations,
         impl=spec.impl,
-    )
+    )[0]
     values = pricer.price_many([solution.placement])[0]
     return _TaskOutcome(
         placement_bytes=solution.placement.canonical_bytes(),
@@ -913,24 +913,24 @@ def pareto_front(
             solution = _solve_row(
                 n,
                 link_limit,
+                rngs=[rng],
                 method=method,
                 objective=spec.latency_objective(),
                 params=params,
-                rng=rng,
                 max_evaluations=config.max_evaluations,
                 impl=config.impl,
-            )
+            )[0]
         else:
             solution = _solve_row(
                 n,
                 link_limit,
+                rngs=[rng],
                 method=method if method == "exact" else "only_sa",
                 objective=_VectorObjective(pricer, 0),
                 params=params,
-                rng=rng,
                 max_evaluations=config.max_evaluations,
                 impl=config.impl,
-            )
+            )[0]
         pricer.price_many([solution.placement], config.jobs)
     else:
         endpoint_outcomes = parallel_map(

@@ -13,7 +13,7 @@ generalizes the whole search stack to two mesh-level spaces built on
 It provides the mesh objective (:class:`MeshObjective`), SA move
 kernels implementing the same state protocol as
 :class:`~repro.core.connection_matrix.ConnectionMatrix` (so
-:func:`~repro.core.annealing.anneal` and ``anneal_population`` run
+:func:`~repro.core.annealing.anneal_population` runs them
 unchanged), exhaustive searches at small ``n``, and the
 :func:`solve_space` / :func:`optimize_space` entry points the CLI's
 ``--space`` flag routes to.
@@ -45,7 +45,6 @@ from repro.api import SEARCH_SPACES, SearchConfig
 from repro.core.annealing import (
     AnnealingParams,
     AnnealingResult,
-    anneal,
     anneal_population,
 )
 from repro.core.branch_bound import effective_link_limit, exhaustive_matrix_search
@@ -836,13 +835,13 @@ def solve_space(
     ``"exact"`` runs the per-space exhaustive search, ``"dc_sa"`` seeds
     simulated annealing with the replicated D&C row solution (the same
     warm start the row space gets, embedded in the larger space) and
-    ``"only_sa"`` starts from a random feasible state.  ``config.chains
-    > 1`` runs a lockstep :func:`~repro.core.annealing
-    .anneal_population` with one derived RNG stream per chain
-    (``derived_rng(seed, C, chain)``); the best chain wins, ties to the
-    lowest index.  Multi-process ``restarts``/``jobs`` and the
-    incremental engine stay row-space-only (``SearchConfig`` enforces
-    this).
+    ``"only_sa"`` starts from a random feasible state.  The annealer
+    is one :func:`~repro.core.annealing.anneal_population` call: a
+    single chain on the ``config.seed`` stream, or with ``config.chains
+    > 1`` one derived stream per chain (``derived_rng(seed, C,
+    chain)``); the best chain wins, ties to the lowest index.
+    Multi-process ``restarts``/``jobs`` and the incremental engine stay
+    row-space-only (``SearchConfig`` enforces this).
     """
     _check_space(space)
     if method not in METHODS:
@@ -897,35 +896,24 @@ def solve_space(
         seed_energy = objective(seed_placement)
         state0 = _state_from_placement(space, seed_placement, limit)
 
-    chains = config.chains
-    if chains > 1:
+    if config.chains > 1:
         base_seed = fresh_entropy() if config.seed is None else config.seed
-        rngs = [derived_rng(base_seed, limit, k) for k in range(chains)]
-        if state0 is not None:
-            initials = [state0 for _ in range(chains)]
-        else:
-            initials = [
-                _random_state(space, n, limit, gen) for gen in rngs
-            ]
-        with obs.span("solve.anneal"):
-            results = anneal_population(
-                initials, objective, params=params, rngs=rngs,
-                max_evaluations=config.max_evaluations, obs=obs,
-            )
-        best = min(range(chains), key=lambda k: (results[k].best_energy, k))
-        sa = results[best]
-        sa_evaluations = sum(r.evaluations for r in results)
+        rngs = [derived_rng(base_seed, limit, k) for k in range(config.chains)]
     else:
-        gen = ensure_rng(config.seed)
-        if state0 is None:
-            state0 = _random_state(space, n, limit, gen)
-        with obs.span("solve.anneal"):
-            sa = anneal(
-                state0, objective, params=params, rng=gen,
-                max_evaluations=config.max_evaluations, obs=obs,
-                progress_every=config.metrics_every,
-            )
-        sa_evaluations = sa.evaluations
+        rngs = [ensure_rng(config.seed)]
+    initials = [
+        state0 if state0 is not None else _random_state(space, n, limit, gen)
+        for gen in rngs
+    ]
+    with obs.span("solve.anneal"):
+        results = anneal_population(
+            initials, objective, params=params, rngs=rngs,
+            max_evaluations=config.max_evaluations, obs=obs,
+            progress_every=config.metrics_every,
+        )
+    best = min(range(len(results)), key=lambda k: (results[k].best_energy, k))
+    sa = results[best]
+    sa_evaluations = sum(r.evaluations for r in results)
     placement, energy = sa.best_placement, sa.best_energy
     if seed_energy is not None and seed_energy < energy:
         placement, energy = seed_placement, seed_energy

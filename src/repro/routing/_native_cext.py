@@ -1,8 +1,8 @@
-"""C-extension fallback backend for the native kernel tier.
+"""C-extension backend of the native kernel tier.
 
-Used by :mod:`repro.routing.native` when numba is not installed: a
-~60-line C translation of the three hot kernels, compiled on first use
-with the system C compiler into a content-addressed cache directory
+Loaded by :mod:`repro.routing.native`: a ~60-line C translation of
+the three hot kernels, compiled on first use with the system C
+compiler into a content-addressed cache directory
 (``.repro/native/`` by default, override with ``REPRO_NATIVE_CACHE``)
 and loaded through :mod:`ctypes`.  No third-party build dependency: the
 shared object is plain C (no ``Python.h``), so only ``cc``/``gcc``/

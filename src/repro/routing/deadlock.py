@@ -8,16 +8,14 @@ condition then applies: routing is deadlock-free iff the channel
 dependency graph (CDG) is acyclic.
 
 This module constructs the CDG *from the actual routes* the tables
-produce (not just the rule) and checks acyclicity with networkx, which
-both verifies the implementation and serves as a property test target
-for arbitrary placements.
+produce (not just the rule) and checks acyclicity with an iterative
+depth-first search, which both verifies the implementation and serves
+as a property test target for arbitrary placements.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.routing.dor import compute_route
 from repro.routing.tables import RoutingTables
@@ -26,13 +24,17 @@ from repro.routing.tables import RoutingTables
 DirectedChannel = Tuple[int, int]
 
 
-def channel_dependency_graph(tables: RoutingTables) -> nx.DiGraph:
+def channel_dependency_graph(
+    tables: RoutingTables,
+) -> Dict[DirectedChannel, Set[DirectedChannel]]:
     """Build the CDG induced by all source-destination routes.
 
-    Nodes are directed channels; an edge ``c1 -> c2`` means some packet
-    holds ``c1`` while requesting ``c2`` (consecutive hops of a route).
+    Returned as an adjacency dict: every channel some route uses is a
+    key, mapped to the set of its successors.  An edge ``c1 -> c2``
+    means some packet holds ``c1`` while requesting ``c2`` (consecutive
+    hops of a route).
     """
-    g = nx.DiGraph()
+    graph: Dict[DirectedChannel, Set[DirectedChannel]] = {}
     num = tables.topology.num_nodes
     for src in range(num):
         for dst in range(num):
@@ -40,24 +42,59 @@ def channel_dependency_graph(tables: RoutingTables) -> nx.DiGraph:
                 continue
             path = compute_route(tables, src, dst)
             channels = list(zip(path, path[1:]))
-            g.add_nodes_from(channels)
+            for channel in channels:
+                graph.setdefault(channel, set())
             for c1, c2 in zip(channels, channels[1:]):
-                g.add_edge(c1, c2)
-    return g
+                graph[c1].add(c2)
+    return graph
+
+
+def find_cycle(
+    graph: Dict[Hashable, Set[Hashable]],
+) -> Optional[List[Tuple[Hashable, Hashable]]]:
+    """One directed cycle of ``graph`` as an edge list, or ``None``.
+
+    ``graph`` maps each node to its successors (a successor need not be
+    a key).  Iterative three-colour depth-first search: nodes on the
+    current DFS path are grey, finished nodes black, and an edge into a
+    grey node closes a cycle, read back off the path.  The edges come
+    in cycle order, ``[(a, b), (b, c), ..., (z, a)]``, like
+    ``networkx.find_cycle``.
+    """
+    black: Set[Hashable] = set()
+    for root in graph:
+        if root in black:
+            continue
+        path = [root]
+        grey = {root: 0}  # node -> its position on the path
+        successors = [iter(graph[root])]
+        while successors:
+            for succ in successors[-1]:
+                if succ in grey:
+                    cycle = path[grey[succ]:] + [succ]
+                    return list(zip(cycle, cycle[1:]))
+                if succ not in black:
+                    grey[succ] = len(path)
+                    path.append(succ)
+                    successors.append(iter(graph.get(succ, ())))
+                    break
+            else:
+                node = path.pop()
+                del grey[node]
+                black.add(node)
+                successors.pop()
+    return None
 
 
 def is_deadlock_free(tables: RoutingTables) -> bool:
     """True iff the channel dependency graph is acyclic."""
-    return nx.is_directed_acyclic_graph(channel_dependency_graph(tables))
+    return find_cycle(channel_dependency_graph(tables)) is None
 
 
 def find_dependency_cycle(tables: RoutingTables):
-    """Return one CDG cycle if any exists, else ``None`` (for debugging)."""
-    g = channel_dependency_graph(tables)
-    try:
-        return nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
+    """Return one CDG cycle as an edge list if any exists, else ``None``
+    (for debugging)."""
+    return find_cycle(channel_dependency_graph(tables))
 
 
 def check_no_u_turns(tables: RoutingTables) -> bool:

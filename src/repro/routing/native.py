@@ -1,23 +1,10 @@
-"""The ``impl="native"`` kernel tier: backend selection and dispatch.
+"""The ``impl="native"`` kernel tier: loading and dispatch.
 
-This module is the only place that knows *how* the native tier is
-provided.  Two interchangeable backends implement a three-kernel
-contract, tried in order on first use:
-
-``"numba"``
-    :mod:`repro.routing._native_numba` -- ``@njit(cache=True)``
-    translations, available when numba is installed
-    (``pip install repro[native]``).
-``"cext"``
-    :mod:`repro.routing._native_cext` -- the same kernels as plain C,
-    compiled once with the system compiler into ``.repro/native/`` and
-    loaded via ctypes.  Keeps the tier usable on machines where numba
-    has no wheels.
-
-``REPRO_NATIVE_BACKEND`` pins one backend explicitly (values
-``"numba"``/``"cext"``); anything importing this module stays cheap --
-neither backend is touched until :func:`load` runs, so ``import repro``
-never pays numba's import cost (a test pins that).
+The tier is provided by :mod:`repro.routing._native_cext`: the hot
+kernels as plain C, compiled once with the system C compiler into
+``.repro/native/`` and loaded via ctypes.  Importing this module stays
+cheap -- nothing is compiled or loaded until :func:`load` runs, so
+``import repro`` never pays for the tier (a test pins that).
 
 The kernel contract (all in place, C-contiguous float64/int64):
 
@@ -32,7 +19,7 @@ the weight-stack builders produce (nonnegative weights, zero diagonal,
 ``inf`` sentinels, no NaN); see :mod:`repro.routing._native_cext` for
 the invariance argument and the cross-impl parity suites for the pin.
 
-:func:`warmup` front-loads backend load + JIT compilation (once per
+:func:`warmup` front-loads the load and first-use compilation (once per
 process; the parallel engine's workers call it before their solve
 spans open) and reports the cost through the ``kernel.compile`` obs
 event and the ``kernel.compile_seconds`` gauge, so profiled runs never
@@ -41,7 +28,6 @@ attribute compile time to ``latency.floyd_warshall``.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
@@ -49,44 +35,18 @@ import numpy as np
 
 from repro.util.errors import ConfigurationError
 
-#: Backend preference order; first to load wins.
-BACKENDS = ("numba", "cext")
-
-#: Environment variable pinning one backend explicitly.
-BACKEND_ENV_VAR = "REPRO_NATIVE_BACKEND"
-
 _state = {
     "kernels": None,
-    "backend": None,
     "error": None,
     "warm": False,
     "warmup_seconds": None,
 }
 
 
-def _load_backend():
-    forced = os.environ.get(BACKEND_ENV_VAR)
-    if forced is not None and forced not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown {BACKEND_ENV_VAR}={forced!r}; expected one of {BACKENDS}"
-        )
-    failures = []
-    for name in BACKENDS if forced is None else (forced,):
-        try:
-            if name == "numba":
-                from repro.routing import _native_numba as mod
-            else:
-                from repro.routing import _native_cext as mod
-            return name, mod.load()
-        except Exception as exc:  # noqa: BLE001 -- report every backend
-            failures.append(f"{name}: {exc}")
-    raise RuntimeError("; ".join(failures))
-
-
 def load():
     """The loaded kernel namespace, loading (and compiling) on first use.
 
-    Raises :class:`ConfigurationError` when no backend works; the
+    Raises :class:`ConfigurationError` when the tier cannot load; the
     outcome (either way) is cached for the life of the process.
     """
     if _state["kernels"] is not None:
@@ -94,13 +54,12 @@ def load():
     if _state["error"] is not None:
         raise ConfigurationError(f"native tier unavailable: {_state['error']}")
     try:
-        backend, kernels = _load_backend()
-    except ConfigurationError:
-        raise
+        from repro.routing import _native_cext
+
+        kernels = _native_cext.load()
     except Exception as exc:  # noqa: BLE001
         _state["error"] = str(exc)
         raise ConfigurationError(f"native tier unavailable: {exc}") from exc
-    _state["backend"] = backend
     _state["kernels"] = kernels
     return kernels
 
@@ -115,8 +74,8 @@ def available() -> bool:
 
 
 def backend_name() -> Optional[str]:
-    """``"numba"``/``"cext"`` once loaded, else None."""
-    return _state["backend"]
+    """``"cext"`` once loaded, else None."""
+    return None if _state["kernels"] is None else "cext"
 
 
 def unavailable_reason() -> Optional[str]:
@@ -125,11 +84,11 @@ def unavailable_reason() -> Optional[str]:
 
 
 def warmup(obs=None) -> str:
-    """Load the backend and trigger JIT compilation, outside any span.
+    """Load (compiling on first use) and exercise the kernels, outside any span.
 
-    Idempotent per process: the first call pays backend load plus a
-    tiny-input run of all three kernels (which is what makes numba
-    compile them); later calls return immediately.  With an
+    Idempotent per process: the first call pays the load plus a
+    tiny-input run of all three kernels; later calls return
+    immediately.  With an
     :class:`~repro.obs.Instrumentation` attached, the first call emits
     a ``kernel.compile`` event and sets the ``kernel.compile_seconds``
     gauge so profiles and traces account for the cost explicitly
@@ -137,7 +96,7 @@ def warmup(obs=None) -> str:
     backend name.
     """
     if _state["warm"]:
-        return _state["backend"]
+        return backend_name()
     start = time.perf_counter()
     kernels = load()
     d = np.array([[[0.0, 1.0], [np.inf, 0.0]]])
@@ -159,11 +118,11 @@ def warmup(obs=None) -> str:
         if obs.enabled:
             obs.emit(
                 "kernel.compile",
-                backend=_state["backend"],
+                backend=backend_name(),
                 seconds=round(seconds, 6),
             )
         obs.metrics.gauge("kernel.compile_seconds").set(seconds)
-    return _state["backend"]
+    return backend_name()
 
 
 def warmup_seconds() -> Optional[float]:

@@ -10,11 +10,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import SearchConfig
 from repro.cli import main
 from repro.core.annealing import AnnealingParams, MemoizedObjective, anneal
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import RowObjective
-from repro.core.optimizer import solve_row_problem
+from repro.core.optimizer import optimize, solve_row_problem
 from repro.obs import Instrumentation, MemorySink, render_report
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
@@ -98,6 +99,33 @@ class TestAnnealerEvents:
         assert counters["sa.evaluations"] == result.evaluations
         hits, misses = counters["sa.memo_hits"], counters["sa.memo_misses"]
         assert hits + misses == PARAMS.total_moves + 1  # + initial evaluation
+
+
+#: The five search paths ``SearchConfig.metrics_every`` must reach.
+PROGRESS_PATHS = {
+    "solve": (solve_row_problem, {}),
+    "solve-restarts": (solve_row_problem, {"restarts": 2}),
+    "optimize": (optimize, {}),
+    "optimize-chains": (optimize, {"chains": 2}),
+    "solve-grid2d-chains": (solve_row_problem, {"space": "grid2d", "chains": 2}),
+}
+
+
+class TestProgressEvents:
+    @pytest.mark.parametrize("path", sorted(PROGRESS_PATHS))
+    def test_metrics_every_reaches_every_search_path(self, path):
+        entry, knobs = PROGRESS_PATHS[path]
+        sink = MemorySink()
+        obs = Instrumentation(sinks=[sink])
+        config = SearchConfig(seed=5, metrics_every=50, **knobs)
+        args = (8, 3) if entry is solve_row_problem else (8,)
+        entry(*args, params=PARAMS, obs=obs, config=config)
+        chains = len(sink.of_kind("sa.start"))
+        progress = sink.of_kind("sa.progress")
+        assert chains >= 1
+        # One event every 50 moves of every chain: moves 0, 50, ..., 250.
+        assert len(progress) == chains * 6
+        assert {e.move for e in progress} == set(range(0, 300, 50))
 
 
 class TestSimulatorEvents:

@@ -315,11 +315,55 @@ def test_sweep_chains_parity():
     assert (a.chains, b.chains) == (1, 2)
 
 
-def test_chains_incompatible_with_incremental_engine():
-    with pytest.raises(ConfigurationError):
-        parallel_row_search(
-            8, 3, params=SMOKE, base_seed=1, chains=2, incremental=True
+INCREMENTAL_COUNTERS = ("sa.eval.incremental", "sa.eval.full", "sa.selfcheck")
+
+
+def _incremental_sweep(**grid):
+    obs = Instrumentation(sinks=[])
+    sweep = parallel_sweep(
+        8, method="only_sa", params=SMOKE, base_seed=2019,
+        incremental=True, resync_every=50, obs=obs, **grid,
+    )
+    return sweep, obs.metrics.snapshot()["counters"]
+
+
+def test_chains_compose_with_incremental_engine():
+    # Incremental pricing is a per-chain strategy: lockstep chains,
+    # separate restarts and separate serial anneal runs all walk the
+    # same trajectories and do the same engine work.
+    chained, chained_counters = _incremental_sweep(chains=3)
+    restarted, restarted_counters = _incremental_sweep(restarts=3)
+    assert chained.restart_energies == restarted.restart_energies
+    serial_obs = Instrumentation(sinks=[])
+    for limit, sol in restarted.solutions.items():
+        other = chained.solutions[limit]
+        assert other.placement.canonical_bytes() == sol.placement.canonical_bytes()
+        assert other.energy == sol.energy
+        assert other.evaluations == sol.evaluations
+        if limit == 1:
+            continue
+        assert other.annealing.trace == sol.annealing.trace
+        serial = []
+        for restart in range(3):
+            gen = ensure_rng(derived_rng(2019, limit, restart))
+            start = ConnectionMatrix.random(8, limit, gen)
+            serial.append(anneal(
+                start, RowObjective(), params=SMOKE, rng=gen,
+                incremental=True, resync_every=50, obs=serial_obs,
+            ))
+        assert restarted.restart_energies[limit] == tuple(
+            sa.best_energy for sa in serial
         )
+        best = min(range(3), key=lambda k: (serial[k].best_energy, k))
+        assert (serial[best].best_placement.canonical_bytes()
+                == sol.placement.canonical_bytes())
+        assert serial[best].evaluations == sol.evaluations
+        assert serial[best].trace == sol.annealing.trace
+    serial_counters = serial_obs.metrics.snapshot()["counters"]
+    for name in INCREMENTAL_COUNTERS:
+        assert chained_counters[name] == restarted_counters[name]
+        assert chained_counters[name] == serial_counters[name]
+    assert serial_counters["sa.selfcheck"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ class TestRegistry:
         has_native = "native" in available_impls()
         assert has_native == native.available()
         if has_native:
-            assert native.backend_name() in native.BACKENDS
+            assert native.backend_name() == "cext"
         else:
             assert native.unavailable_reason()
 
@@ -101,7 +101,7 @@ class TestResolveImpl:
             resolve_impl("native")
         msg = str(exc.value)
         assert "no backend (test)" in msg
-        assert "repro[native]" in msg
+        assert "C compiler" in msg
 
     def test_env_native_falls_back_with_warning(self, monkeypatch):
         monkeypatch.setenv(IMPL_ENV_VAR, "native")

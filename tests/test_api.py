@@ -39,7 +39,7 @@ class TestSearchConfig:
             {"restarts": 0},
             {"jobs": -1},
             {"chains": 0},
-            {"chains": 2, "incremental": True},
+            {"space": "hetero", "incremental": True},
             {"impl": "cuda"},
             {"resync_every": -1},
             {"metrics_every": -5},
@@ -48,6 +48,10 @@ class TestSearchConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             SearchConfig(**kwargs)
+
+    def test_chains_compose_with_incremental(self):
+        cfg = SearchConfig(chains=2, incremental=True)
+        assert cfg.parallel and cfg.incremental and cfg.effective_restarts == 2
 
     def test_parallel_property(self):
         assert SearchConfig(restarts=2).parallel

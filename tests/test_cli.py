@@ -192,7 +192,7 @@ class TestDoctor:
         out = capsys.readouterr().out
         assert "python" in out
         assert "numpy" in out
-        assert "numba" in out
+        assert "numba" not in out
         assert "cpus" in out
         for tier in ("vectorized", "reference", "native"):
             assert tier in out
