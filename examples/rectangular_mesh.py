@@ -14,7 +14,7 @@ Usage::
 
 import argparse
 
-from repro import MeshTopology, SimConfig, Simulator
+from repro import MeshTopology, SearchConfig, SimConfig, Simulator
 from repro.core.annealing import AnnealingParams
 from repro.core.optimizer import best_rectangular, optimize_rectangular
 from repro.harness.tables import pct_change, render_table
@@ -43,7 +43,8 @@ def main() -> None:
     )
     print(f"Optimizing a {args.width}x{args.height} rectangular mesh...")
     points = optimize_rectangular(
-        args.width, args.height, params=params, rng=args.seed
+        args.width, args.height, params=params,
+        config=SearchConfig(seed=args.seed),
     )
     rows = [
         [c, p.flit_bits, p.head_latency, p.serialization, p.total_latency]

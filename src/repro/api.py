@@ -150,9 +150,10 @@ class SearchConfig:
     Attributes
     ----------
     seed:
-        Integer base seed, or ``None`` for fresh entropy.  Parallel
-        searches (``restarts``/``jobs`` > 1) derive one independent
-        stream per ``(C, restart)`` task from it.
+        Integer base seed, or ``None`` for fresh entropy.  Every
+        search derives one independent stream per ``(C, restart)``
+        (row space) or ``(C, chain)`` (mesh spaces) from it, so the
+        default run is restart 0 of any multi-restart run.
     restarts:
         Independent SA chains per ``C``; the best chain wins.
     jobs:
@@ -299,11 +300,6 @@ class SearchConfig:
                     "use chains=K for population search in the "
                     f"{self.space!r} space"
                 )
-
-    @property
-    def parallel(self) -> bool:
-        """True when the multi-restart engine should run the search."""
-        return self.restarts > 1 or self.jobs > 1 or self.chains > 1
 
     @property
     def effective_restarts(self) -> int:
@@ -536,7 +532,10 @@ class PlacementResult:
 
     @classmethod
     def from_solution(
-        cls, solution: Any, config: SearchConfig
+        cls,
+        solution: Any,
+        config: SearchConfig,
+        restart_energies: Tuple[Tuple[int, Tuple[float, ...]], ...] = (),
     ) -> "PlacementResult":
         """Wrap a single ``P~(n, C)`` solve as the public type."""
         space = getattr(solution, "space", "row")
@@ -556,6 +555,7 @@ class PlacementResult:
             evaluations=solution.evaluations,
             wall_time_s=solution.wall_time_s,
             config=config,
+            restart_energies=restart_energies,
             solution=solution,
         )
 

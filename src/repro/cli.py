@@ -270,7 +270,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     with _obs_session(args) as obs:
         cfg = SearchConfig.from_cli(args)
         mesh_space = cfg.space != "row"
-        parallel = cfg.parallel and not mesh_space
         if args.save and mesh_space:
             print("error: --save stores row sweeps only (use --space row)",
                   file=sys.stderr)
@@ -329,7 +328,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             print(f"chords: {list(best.placement.express_chords())}")
         else:
             print(f"row placement: {sorted(best.placement.express_links)}")
-        if parallel:
+        if not mesh_space:
             spread = sweep.restart_energies.get(best.link_limit, ())
             print(f"search: {sweep.restarts} restart(s) x {len(sweep.points)} limits "
                   f"on {sweep.jobs} job(s); best-C restart energies: "
@@ -366,34 +365,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             if obs is not None:
                 obs.set_context(run_id=run_id)
         start = time.perf_counter()
-        if cfg.parallel and not mesh_space:
-            from repro.core.parallel import parallel_row_search
-
-            sol, energies = parallel_row_search(
-                args.n,
-                args.c,
-                method=args.method,
-                params=EFFORTS[args.effort],
-                base_seed=cfg.seed,
-                restarts=cfg.effective_restarts,
-                jobs=cfg.jobs,
-                chains=cfg.chains,
-                impl=cfg.impl,
-                incremental=cfg.incremental,
-                resync_every=cfg.resync_every,
-                progress_every=cfg.metrics_every,
-                obs=obs,
-            )
-        else:
-            sol = solve_row_problem(
-                args.n,
-                args.c,
-                method=args.method,
-                params=EFFORTS[args.effort],
-                obs=obs,
-                config=cfg,
-            )
-            energies = None
+        sol = solve_row_problem(
+            args.n,
+            args.c,
+            method=args.method,
+            params=EFFORTS[args.effort],
+            obs=obs,
+            config=cfg,
+        )
         wall = time.perf_counter() - start
         tag = f"{args.method}, space={cfg.space}" if mesh_space else args.method
         print(f"P~({args.n},{args.c}) [{tag}]")
@@ -406,9 +385,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             print(f"  express links: {sorted(sol.placement.express_links)}")
         print(f"  evaluations: {sol.evaluations}, wall time: {sol.wall_time_s:.2f}s")
-        if energies is not None:
+        for _, energies in sol.restart_energies:
             print(f"  restarts: {[round(e, 4) for e in energies]} "
-                  f"({cfg.effective_restarts} chains on {args.jobs} job(s))")
+                  f"({cfg.effective_restarts} chains on {cfg.jobs} job(s))")
         _record_run(
             ledger, obs, run_id, "solve", ledger_params, cfg, cfg.seed, wall,
             results={

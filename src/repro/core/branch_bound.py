@@ -61,9 +61,9 @@ def validated_link_limit(n: int, link_limit: int, obs=None) -> int:
     ``C_full`` via :func:`effective_link_limit`, emitting a
     ``config.clamp`` warning event when instrumentation is attached --
     so a sweep over ``C > C_full`` is visible in the trace instead of
-    silently solving a smaller problem per worker.  The parallel
-    engines call this before building their task grids; the returned
-    value is what every spawned worker sees.
+    silently solving a smaller problem per worker.  The search grid
+    calls this once per ``C`` before building its tasks; the returned
+    value is the limit every chain solves at.
     """
     if link_limit < 1:
         from repro.util.errors import ConfigurationError

@@ -12,6 +12,25 @@ Three solving methods are exposed:
   solution + simulated annealing (D&C_SA),
 * ``"only_sa"`` -- simulated annealing from a random matrix (OnlySA),
 * ``"exact"``   -- exhaustive optimal (small instances only).
+
+Every row-space search -- :func:`optimize`, :func:`solve_row_problem`
+and :func:`optimize_rectangular` -- runs through one engine: the
+``(n, C, restart)`` task grid of :func:`_search_grid`.  Since each
+``P~(n, C)`` is solved on its own and SA restarts are independent,
+the grid is embarrassingly parallel, and three rules make
+``SearchConfig.jobs`` / ``chains`` pure wall-clock knobs:
+
+* **Derived seeds.**  Restart ``r`` of ``P~(n, C)`` draws its stream
+  from :func:`repro.util.rngtools.derived_rng` ``(seed, C_eff, r)``
+  (``C_eff`` is ``C`` clamped to ``C_full``) -- a pure function of the
+  task key, so a chain is the same inline, in any lockstep group and
+  on any worker.  The default config is the 1-restart, 1-job grid.
+* **Deterministic reduction.**  Per problem the winner is the minimum
+  by ``(energy, restart index)``.
+* **Ordered obs merging.**  Inline (``jobs=1``) tasks record straight
+  onto the caller's instrumentation; pool tasks capture their events
+  and metrics and the parent merges them in task order
+  (:mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
@@ -19,6 +38,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.api import PlacementResult, SearchConfig, reject_legacy_kwargs
 from repro.core.annealing import (
@@ -32,6 +53,7 @@ from repro.core.branch_bound import (
     ExactResult,
     effective_link_limit,
     exhaustive_matrix_search,
+    validated_link_limit,
 )
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.divide_conquer import InitialSolution, initial_solution
@@ -40,13 +62,16 @@ from repro.core.latency import (
     LatencyBreakdown,
     PacketMix,
     RowObjective,
+    mean_row_head_latency,
     network_average_latency,
 )
+from repro.core.parallel import _merge_observability, parallel_map
 from repro.obs.instrument import Instrumentation, ensure_obs
+from repro.obs.sinks import MemorySink
 from repro.routing.shortest_path import HopCostModel
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
-from repro.util.rngtools import ensure_rng
+from repro.util.rngtools import derived_rng, ensure_rng, fresh_entropy
 
 #: Recognized solver names.
 METHODS = ("dc_sa", "only_sa", "exact")
@@ -87,10 +112,9 @@ class DesignPoint:
 class SweepResult:
     """Outcome of the full ``C`` sweep for one network size.
 
-    ``restarts`` / ``jobs`` / ``chains`` record how the sweep was
-    executed (all 1 for the legacy sequential path); ``restart_energies``
-    maps each ``C`` to the per-restart final energies, in restart
-    order, when the multi-restart engine ran.
+    ``restarts`` / ``jobs`` / ``chains`` record the shape of the task
+    grid that ran the sweep; ``restart_energies`` maps each ``C`` to
+    the per-restart final energies, in restart order.
     """
 
     n: int
@@ -112,6 +136,242 @@ class SweepResult:
         return tuple(sorted((c, p.total_latency) for c, p in self.points.items()))
 
 
+# ----------------------------------------------------------------------
+# The search grid
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SearchTask:
+    """One unit of the search grid: a group of SA restarts for one
+    ``P~(n, C)``.
+
+    Tasks are frozen, picklable value objects -- everything a worker
+    needs and nothing it could share, which is what makes the fork/spawn
+    boundary safe and the result a pure function of the task.
+    ``link_limit`` is the requested ``C`` (the solve itself runs at
+    :func:`effective_link_limit`); ``restarts`` holds the restart
+    indices of the group, run as lockstep chains
+    (:func:`repro.core.annealing.anneal_population`) byte-identical to
+    running each restart alone.
+    """
+
+    n: int
+    link_limit: int
+    restarts: Tuple[int, ...]
+    method: str
+    params: AnnealingParams
+    cost: HopCostModel
+    weights: Optional[Tuple[Tuple[float, ...], ...]]
+    impl: str
+    base_seed: int
+    config: SearchConfig
+    capture_events: bool = False
+
+    @property
+    def coordinate(self) -> list:
+        """The ``task`` event stamp: ``[C, restart]``, or ``[C, [restarts]]``
+        for a lockstep group."""
+        restarts = self.restarts
+        return [self.link_limit, restarts[0] if len(restarts) == 1 else list(restarts)]
+
+
+@dataclass
+class _TaskOutcome:
+    """A pool task's solutions plus the observability it captured."""
+
+    solutions: List[RowSolution]
+    events: List[dict]
+    metrics: dict
+    obs_key: Tuple[int, int]
+
+
+def _chain_groups(restarts: int, chains: int) -> List[Tuple[int, ...]]:
+    """Split restart indices into consecutive lockstep groups.
+
+    ``chains=1`` (the default) keeps every restart its own task;
+    ``chains=K`` packs restarts ``0..K-1`` into one group, ``K..2K-1``
+    into the next, and so on (the last group may be smaller).  Grouping
+    never changes which restarts run or their derived seeds -- only how
+    many share a process and a batched kernel call.
+    """
+    step = max(1, chains)
+    return [
+        tuple(range(lo, min(lo + step, restarts)))
+        for lo in range(0, restarts, step)
+    ]
+
+
+def _solve_task(task: SearchTask, obs: Instrumentation) -> List[RowSolution]:
+    """Run one task's chains, recording onto ``obs``.
+
+    Restart ``r`` draws ``derived_rng(base_seed, C_eff, r)``, so a
+    restart computes the same chain in any group, and an oversized
+    ``C`` solves exactly like ``C_full``.
+    """
+    # Under impl="native", constructing the objective warms the
+    # compiled backend up (shared-object load, once per process)
+    # before any solve span opens; the cost is reported as a
+    # kernel.compile event instead of polluting latency.floyd_warshall.
+    objective = RowObjective(
+        cost=task.cost,
+        weights=task.weights,
+        impl=task.impl,
+        obs=None if obs.is_null else obs,
+    )
+    limit = effective_link_limit(task.n, task.link_limit)
+    config = task.config
+    return _solve_row(
+        task.n,
+        task.link_limit,
+        rngs=[derived_rng(task.base_seed, limit, r) for r in task.restarts],
+        method=task.method,
+        objective=objective,
+        params=task.params,
+        max_evaluations=config.max_evaluations,
+        obs=obs,
+        progress_every=config.metrics_every,
+        incremental=config.incremental,
+        resync_every=config.resync_every,
+    )
+
+
+def _run_task(task: SearchTask) -> _TaskOutcome:
+    """Pool entry point (module-level so it pickles for workers).
+
+    Records onto a private instrumentation whose events and metrics
+    ship back for the parent's ordered merge.
+    """
+    # NB: an empty MemorySink is falsy (it has __len__), so the guards
+    # here must compare against None explicitly.
+    sink = MemorySink() if task.capture_events else None
+    obs = Instrumentation(sinks=[] if sink is None else [sink])
+    obs.set_context(task=task.coordinate)
+    solutions = _solve_task(task, obs)
+    return _TaskOutcome(
+        solutions=solutions,
+        events=[] if sink is None else [e.to_dict() for e in sink.events],
+        metrics=obs.metrics.snapshot(),
+        obs_key=(task.link_limit, task.restarts[0]),
+    )
+
+
+def _solve_inline(task: SearchTask, obs: Instrumentation) -> List[RowSolution]:
+    """Run a task in this process, straight onto the caller's ``obs``.
+
+    Its events carry the ``task`` stamp but no ``worker`` stamp:
+    nothing ran on a worker.
+    """
+    if not obs.enabled:
+        return _solve_task(task, obs)
+    previous = obs.bus.context.get("task")
+    obs.set_context(task=task.coordinate)
+    try:
+        return _solve_task(task, obs)
+    finally:
+        obs.set_context(task=previous)
+
+
+def run_tasks(
+    tasks: Sequence[SearchTask], jobs: int, obs: Instrumentation
+) -> List[List[RowSolution]]:
+    """Run the task grid; per task, its solutions in restart order.
+
+    With ``jobs <= 1`` (or a single task) every task runs inline on
+    ``obs``; otherwise on a process pool of up to ``jobs`` workers,
+    whose captured observability is merged into ``obs`` in task order.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return [_solve_inline(task, obs) for task in tasks]
+    outcomes = parallel_map(_run_task, tasks, jobs)
+    _merge_observability(obs, outcomes)
+    return [outcome.solutions for outcome in outcomes]
+
+
+def _best_index(solutions: Sequence[RowSolution]) -> int:
+    """Deterministic reduction: lowest energy, then lowest restart index."""
+    return min(range(len(solutions)), key=lambda k: solutions[k].energy)
+
+
+def _base_seed(seed) -> int:
+    """The grid's integer base seed; ``None`` draws fresh entropy.
+
+    A shared :class:`numpy.random.Generator` is rejected: its state
+    would depend on task execution order, so it cannot be split
+    deterministically across tasks.  Fresh entropy is still an int, so
+    the run can be replayed from its logged ``base_seed``.
+    """
+    if seed is None:
+        return fresh_entropy()
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    raise ConfigurationError(
+        "row-space searches need an integer seed (or None); got "
+        f"{type(seed).__name__} -- a shared generator cannot be split "
+        "deterministically across tasks"
+    )
+
+
+def _search_grid(
+    problems: Sequence[Tuple[int, int]],
+    *,
+    method: str,
+    params: AnnealingParams | None,
+    cost: HopCostModel | None,
+    weights,
+    impl: str,
+    config: SearchConfig,
+    obs: Instrumentation,
+) -> Dict[Tuple[int, int], List[RowSolution]]:
+    """Solve every ``(n, C)`` problem with ``config.effective_restarts``
+    SA chains; the one row-space search dispatch.
+
+    Returns, per problem, the chains' solutions in restart order.  Each
+    ``C`` is validated once here (:func:`validated_link_limit`: an
+    oversized limit emits ``config.clamp``); solutions keep the
+    requested ``C`` while the solve runs at ``C_full``.
+    """
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
+    for n, limit in problems:
+        validated_link_limit(n, limit, obs)
+    seed = _base_seed(config.seed)
+    restarts = config.effective_restarts
+    params = params or AnnealingParams()
+    cost = cost or HopCostModel()
+    tasks = [
+        SearchTask(
+            n=n, link_limit=limit, restarts=group, method=method,
+            params=params, cost=cost, weights=weights, impl=impl,
+            base_seed=seed, config=config, capture_events=obs.enabled,
+        )
+        for n, limit in problems
+        for group in _chain_groups(restarts, config.chains)
+    ]
+    if obs.enabled:
+        obs.emit("parallel.start", method=method, restarts=restarts,
+                 jobs=config.jobs, chains=config.chains, tasks=len(tasks),
+                 base_seed=seed, problems=[list(p) for p in problems])
+    with obs.span("parallel.sweep"):
+        outcomes = run_tasks(tasks, config.jobs, obs)
+    grid: Dict[Tuple[int, int], List[RowSolution]] = {}
+    for task, solutions in zip(tasks, outcomes):
+        grid.setdefault((task.n, task.link_limit), []).extend(solutions)
+    if not obs.is_null:
+        obs.metrics.counter("parallel.tasks").inc(len(tasks))
+        obs.metrics.gauge("parallel.jobs").set(config.jobs)
+    if obs.enabled:
+        winners = []
+        for (n, limit), solutions in grid.items():
+            best = _best_index(solutions)
+            winners.append([n, limit, best, solutions[best].energy])
+        obs.emit("parallel.end", winners=winners)
+    return grid
+
+
+# ----------------------------------------------------------------------
+# Entry points
+# ----------------------------------------------------------------------
+
 def solve_row_problem(
     n: int,
     link_limit: int,
@@ -126,11 +386,16 @@ def solve_row_problem(
     """Solve ``P~(n, C)`` and return a :class:`~repro.api.PlacementResult`.
 
     Execution knobs arrive in ``config`` (a
-    :class:`~repro.api.SearchConfig`); with ``restarts``/``jobs`` > 1
-    the solve routes to the multi-restart engine and returns its
-    winning chain; with ``config.space`` set to a mesh space it routes
-    to :func:`~repro.core.search_space.solve_space`.  The raw engine
-    object stays reachable as ``result.solution``.
+    :class:`~repro.api.SearchConfig`): the solve is one ``C`` of the
+    search grid, ``config.effective_restarts`` chains on up to
+    ``config.jobs`` processes, and the winning chain is returned with
+    every chain's final energy in ``result.restart_energies``.  With
+    ``config.space`` set to a mesh space it routes to
+    :func:`~repro.core.search_space.solve_space`.  The raw engine
+    object stays reachable as ``result.solution``.  ``objective`` must
+    be a :class:`~repro.core.latency.RowObjective` (or ``None``): the
+    grid rebuilds it from its parts in each task.  An oversized ``C``
+    is reported as requested and solved at ``C_full``.
 
     ``warm_start`` (row space only) is the design cache's neighbor
     seam: the placement is clipped to the requested limit
@@ -139,10 +404,9 @@ def solve_row_problem(
     better.  The cold trajectory is untouched, so a warm-started solve
     is never worse than the cold one at the same seed and budget.
 
-    ``obs`` flows into the D&C seeder, the annealer and (when no
-    explicit ``objective`` is given) the Floyd-Warshall evaluator, so a
-    single :class:`~repro.obs.Instrumentation` observes the whole
-    solve.
+    ``obs`` flows into the D&C seeder, the annealer and the
+    Floyd-Warshall evaluator, so a single
+    :class:`~repro.obs.Instrumentation` observes the whole solve.
     """
     reject_legacy_kwargs("solve_row_problem", legacy)
     config = config or SearchConfig()
@@ -160,51 +424,27 @@ def solve_row_problem(
             n, link_limit, config.space, method=method,
             objective=objective, params=params, obs=obs, config=config,
         ), config)
-    if config.parallel:
-        from repro.core.parallel import parallel_row_search
-
-        # Workers rebuild the objective from picklable parts; arbitrary
-        # callables cannot cross the pool boundary.
-        cost = weights = None
-        impl = config.impl
-        if isinstance(objective, RowObjective):
-            cost, weights, impl = objective.cost, objective.weights, objective.impl
-        elif objective is not None:
-            raise ConfigurationError(
-                "parallel solve_row_problem supports RowObjective (or None); "
-                f"got {type(objective).__name__}"
-            )
-        solution, _ = parallel_row_search(
-            n, link_limit, method=method, params=params,
-            cost=cost, weights=weights, impl=impl,
-            base_seed=config.seed,
-            max_evaluations=config.max_evaluations,
-            restarts=config.effective_restarts, jobs=config.jobs,
-            chains=config.chains,
-            incremental=config.incremental,
-            resync_every=config.resync_every,
-            progress_every=config.metrics_every, obs=obs,
+    # Tasks rebuild the objective from its picklable parts.
+    cost, weights, impl = None, None, config.impl
+    if isinstance(objective, RowObjective):
+        cost, weights, impl = objective.cost, objective.weights, objective.impl
+    elif objective is not None:
+        raise ConfigurationError(
+            "row-space solves take a RowObjective (or None); got "
+            f"{type(objective).__name__}"
         )
-        if warm_start is not None:
-            kwargs = {} if cost is None else {"cost": cost}
-            if weights is not None:
-                kwargs["weights"] = weights
-            solution = inject_warm_candidate(
-                solution, warm_start, RowObjective(impl=impl, **kwargs)
-            )
-        return PlacementResult.from_solution(solution, config)
-    solution = _solve_row(
-        n, link_limit, rngs=[config.seed], method=method,
-        objective=objective, params=params,
-        max_evaluations=config.max_evaluations, obs=obs,
-        progress_every=config.metrics_every, impl=config.impl,
-        incremental=config.incremental,
-        resync_every=config.resync_every,
-    )[0]
+    solutions = _search_grid(
+        [(n, link_limit)], method=method, params=params, cost=cost,
+        weights=weights, impl=impl, config=config, obs=ensure_obs(obs),
+    )[n, link_limit]
+    solution = solutions[_best_index(solutions)]
     if warm_start is not None:
-        pricing = objective if objective is not None else RowObjective(impl=config.impl)
+        pricing = objective if objective is not None else RowObjective(impl=impl)
         solution = inject_warm_candidate(solution, warm_start, pricing)
-    return PlacementResult.from_solution(solution, config)
+    return PlacementResult.from_solution(
+        solution, config,
+        restart_energies=((link_limit, tuple(s.energy for s in solutions)),),
+    )
 
 
 def inject_warm_candidate(
@@ -381,38 +621,53 @@ def optimize_rectangular(
     mix: PacketMix | None = None,
     cost: HopCostModel | None = None,
     params: AnnealingParams | None = None,
-    rng=None,
     link_limits: Optional[Tuple[int, ...]] = None,
+    obs: Optional[Instrumentation] = None,
+    config: Optional[SearchConfig] = None,
+    **legacy,
 ) -> Dict[int, RectDesignPoint]:
     """Sweep ``C`` on a rectangular mesh; one 1D solve per dimension.
 
     Returns a map ``C -> RectDesignPoint``; the caller picks the best
-    by ``total_latency`` (see :func:`best_rectangular`).
+    by ``total_latency`` (see :func:`best_rectangular`).  Every
+    ``(dimension, C)`` problem is one entry of the search grid, so
+    ``config`` and ``obs`` mean what they mean for :func:`optimize`,
+    and a square mesh gets the same row placement at every ``C`` as
+    ``optimize(n, config=config)``.
     """
-    from repro.core.latency import mean_row_head_latency
-
+    reject_legacy_kwargs("optimize_rectangular", legacy)
+    config = config or SearchConfig()
+    if config.space != "row":
+        raise ConfigurationError(
+            "optimize_rectangular is row-space only; got "
+            f"space={config.space!r}"
+        )
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
     cost = cost or HopCostModel()
-    gen = ensure_rng(rng)
+    obs = ensure_obs(obs)
     # Limits beyond the smaller dimension's full connectivity are
     # clamped inside each solve, so sweeping up to the larger
     # dimension's C_full covers every distinct design.
-    limits = tuple(link_limits or bandwidth.valid_link_limits(max(width, height)))
+    limits = tuple(dict.fromkeys(
+        link_limits or bandwidth.valid_link_limits(max(width, height))
+    ))
+    dims = tuple(dict.fromkeys((width, height)))
+    grid = _search_grid(
+        [(dim, c) for c in limits if c != 1 for dim in dims if dim >= 3],
+        method=method, params=params, cost=cost, weights=None,
+        impl=config.impl, config=config, obs=obs,
+    )
 
-    objective = RowObjective(cost=cost)
+    def placement(dim: int, limit: int) -> RowPlacement:
+        solutions = grid.get((dim, limit))
+        if solutions is None:
+            return RowPlacement.mesh(dim)
+        return solutions[_best_index(solutions)].placement
+
     points: Dict[int, RectDesignPoint] = {}
     for limit in limits:
-        solved: Dict[int, RowPlacement] = {}
-        for dim in {width, height}:
-            if limit == 1 or dim < 3:
-                solved[dim] = RowPlacement.mesh(dim)
-            else:
-                solved[dim] = _solve_row(
-                    dim, limit, rngs=[gen], method=method,
-                    objective=objective, params=params,
-                )[0].placement
-        row, col = solved[width], solved[height]
+        row, col = placement(width, limit), placement(height, limit)
         head = mean_row_head_latency(row, cost) + mean_row_head_latency(col, cost)
         points[limit] = RectDesignPoint(
             width=width,
@@ -454,15 +709,14 @@ def optimize(
     every per-``C`` solve through one instrumentation context.
 
     Execution knobs arrive in ``config`` (a
-    :class:`~repro.api.SearchConfig`).  With ``restarts``/``jobs`` > 1
-    the sweep routes to the multi-restart engine
-    (:mod:`repro.core.parallel`): independent SA chains per ``C`` with
-    per-``(C, restart)`` derived seeds, best chain kept, results
-    bit-identical across all ``jobs`` values for a fixed seed.
-    Otherwise the sequential path runs: one chain per ``C``, all fed
-    from a single shared stream seeded by ``config.seed``.  With
-    ``config.space`` set to a mesh space the sweep routes to
-    :func:`~repro.core.search_space.optimize_space`.
+    :class:`~repro.api.SearchConfig`).  The sweep is the search grid:
+    ``config.effective_restarts`` independent SA chains per ``C`` with
+    per-``(C, restart)`` derived seeds, best chain kept, on up to
+    ``config.jobs`` processes; results are bit-identical for every
+    ``jobs`` and ``chains`` value at a fixed seed.  Every point is keyed
+    and costed at the requested ``C`` (an oversized one is solved at
+    ``C_full``).  With ``config.space`` set to a mesh space the sweep
+    routes to :func:`~repro.core.search_space.optimize_space`.
 
     ``warm_start`` (row space only) injects a cached neighbor design as
     a post-solve candidate at every ``C``
@@ -492,79 +746,43 @@ def optimize(
         return PlacementResult.from_sweep(
             sweep, config, time.perf_counter() - start
         )
-    if config.parallel:
-        from repro.core.parallel import parallel_sweep
-
-        sweep = parallel_sweep(
-            n,
-            method=method,
-            bandwidth=bandwidth,
-            mix=mix,
-            cost=cost,
-            params=params,
-            base_seed=config.seed,
-            link_limits=link_limits,
-            max_evaluations=config.max_evaluations,
-            restarts=config.effective_restarts,
-            jobs=config.jobs,
-            chains=config.chains,
-            impl=config.impl,
-            incremental=config.incremental,
-            resync_every=config.resync_every,
-            progress_every=config.metrics_every,
-            obs=obs,
-        )
-        if warm_start is not None:
-            _inject_warm_into_sweep(sweep, warm_start, config.impl,
-                                    bandwidth, mix, cost)
-        return PlacementResult.from_sweep(
-            sweep, config, time.perf_counter() - start
-        )
     bandwidth = bandwidth or BandwidthConfig()
     mix = mix or PacketMix.paper_default()
     cost = cost or HopCostModel()
-    gen = ensure_rng(config.seed)
     obs = ensure_obs(obs)
-    limits = link_limits or bandwidth.valid_link_limits(n)
-    objective = RowObjective(
-        cost=cost, impl=config.impl, obs=None if obs.is_null else obs
+    limits = tuple(dict.fromkeys(link_limits or bandwidth.valid_link_limits(n)))
+    grid = _search_grid(
+        [(n, c) for c in limits if c != 1], method=method, params=params,
+        cost=cost, weights=None, impl=config.impl, config=config, obs=obs,
     )
 
-    result = SweepResult(n=n, method=method)
+    sweep = SweepResult(n=n, method=method, restarts=config.effective_restarts,
+                        jobs=config.jobs, chains=config.chains)
     for limit in limits:
         if limit == 1:
-            solution = RowSolution(
+            mesh = RowPlacement.mesh(n)
+            solutions = [RowSolution(
                 n=n,
                 link_limit=1,
-                placement=RowPlacement.mesh(n),
-                energy=objective(RowPlacement.mesh(n)),
+                placement=mesh,
+                energy=RowObjective(cost=cost, impl=config.impl)(mesh),
                 method=method,
                 evaluations=1,
                 wall_time_s=0.0,
-            )
+            )]
         else:
-            solution = _solve_row(
-                n,
-                limit,
-                rngs=[gen],
-                method=method,
-                objective=objective,
-                params=params,
-                max_evaluations=config.max_evaluations,
-                obs=obs,
-                progress_every=config.metrics_every,
-                incremental=config.incremental,
-                resync_every=config.resync_every,
-            )[0]
-        result.solutions[limit] = solution
-        result.points[limit] = design_point(
+            solutions = grid[n, limit]
+        solution = solutions[_best_index(solutions)]
+        sweep.restart_energies[limit] = tuple(s.energy for s in solutions)
+        sweep.solutions[limit] = solution
+        sweep.points[limit] = design_point(
             solution.placement, limit, bandwidth, mix, cost
         )
     if warm_start is not None:
-        _inject_warm_into_sweep(result, warm_start, config.impl,
+        _inject_warm_into_sweep(sweep, warm_start, config.impl,
                                 bandwidth, mix, cost)
     return PlacementResult.from_sweep(
-        result, config, time.perf_counter() - start
+        sweep, config, time.perf_counter() - start
     )
 
 

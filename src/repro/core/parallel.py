@@ -1,183 +1,37 @@
-"""Parallel multi-restart search engine for the ``C`` sweep.
+"""Order-preserving process-pool layer shared by the parallel engines.
 
-The paper's optimizer solves ``P~(n, C)`` independently for every
-feasible cross-section limit ``C``, and simulated annealing is
-restart-friendly: independent chains from independent streams, keep the
-best.  Both axes are embarrassingly parallel, so this module fans the
-``(C, restart)`` task grid out over a ``multiprocessing`` pool and
-reduces deterministically.
+The search grid (:mod:`repro.core.optimizer`), the simulation
+campaigns (:mod:`repro.sim.campaign`) and the Pareto drivers
+(:mod:`repro.core.pareto`) all fan pure, picklable work items out with
+:func:`parallel_map` and fold the workers' observability back with
+:func:`_merge_observability`.
 
 Design rules that make ``--jobs K`` a pure wall-clock knob:
 
-* **Derived seeds.**  Every task draws its generator from
-  :func:`repro.util.rngtools.derived_rng` ``(base_seed, C, restart)``
-  -- a pure function of the task key, independent of scheduling.  A
-  task computes the same chain whether it runs inline, first, last, or
-  on any worker.
-* **Deterministic reduction.**  Per ``C``, the winner is the minimum by
-  ``(energy, restart index)`` -- ties cannot depend on completion
-  order.
+* **Pure work items.**  Every item carries its own seed material (for
+  the search grid, :func:`repro.util.rngtools.derived_rng` keys), so it
+  computes the same result whether it runs inline, first, last, or on
+  any worker.
+* **Deterministic ordering.**  Results come back in item order
+  regardless of which worker finished first.
 * **Ordered obs merging.**  Each worker records events into its own
   :class:`~repro.obs.sinks.MemorySink` and metrics into its own
   registry; the parent replays events and merges metric snapshots in
-  task order, so ``--trace-out`` traces and ``--profile`` totals are
+  item order, so ``--trace-out`` traces and ``--profile`` totals are
   reproducible run to run.
-
-The headline guarantee -- enforced by the parity suite -- is that for a
-fixed base seed the best design is bit-identical for every ``jobs``
-value, including the fully serial ``jobs=1`` path (which runs the exact
-same task functions in the same order, just inline).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-import numpy as np
-
-from repro.core.annealing import AnnealingParams
-from repro.core.branch_bound import validated_link_limit
-from repro.core.latency import BandwidthConfig, PacketMix, RowObjective
-from repro.core.optimizer import (
-    METHODS,
-    RowSolution,
-    SweepResult,
-    _solve_row,
-    design_point,
-)
-from repro.obs.instrument import Instrumentation, ensure_obs
-from repro.obs.sinks import MemorySink
-from repro.routing.shortest_path import HopCostModel
-from repro.topology.row import RowPlacement
-from repro.util.errors import ConfigurationError
-from repro.util.rngtools import derived_rng, fresh_entropy
-
-
-@dataclass(frozen=True)
-class SearchTask:
-    """One worker unit: a group of SA restarts for one ``P~(n, C)``.
-
-    Tasks are frozen, picklable value objects -- everything a worker
-    needs and nothing it could share, which is what makes the fork/spawn
-    boundary safe and the result a pure function of the task.
-    ``restarts`` holds the restart indices of the group, run as lockstep
-    chains (:func:`repro.core.annealing.anneal_population`): one batched
-    objective call per move across the group, and trajectories
-    byte-identical to running each restart alone.
-    """
-
-    n: int
-    link_limit: int
-    restarts: Tuple[int, ...]
-    method: str
-    params: AnnealingParams
-    cost: HopCostModel
-    weights: Optional[Tuple[Tuple[float, ...], ...]]
-    impl: str
-    base_seed: int
-    max_evaluations: Optional[int]
-    capture_events: bool
-    incremental: bool = False
-    resync_every: int = 1_000
-    progress_every: int = 0
-
-
-@dataclass
-class TaskResult:
-    """One restart's complete output: solution plus captured observability."""
-
-    link_limit: int
-    restart: int
-    solution: RowSolution
-    events: List[dict]
-    metrics: dict
-
-    @property
-    def obs_key(self) -> Tuple:
-        """Grid coordinate used as the deterministic gauge-merge key."""
-        return (self.link_limit, self.restart)
-
-
-def _chain_groups(restarts: int, chains: int) -> List[Tuple[int, ...]]:
-    """Split restart indices into consecutive lockstep groups.
-
-    ``chains=1`` (the default) keeps every restart its own task;
-    ``chains=K`` packs restarts ``0..K-1`` into one group, ``K..2K-1``
-    into the next, and so on (the last group may be smaller).  Grouping
-    never changes which restarts run or their derived seeds -- only how
-    many share a process and a batched kernel call.
-    """
-    step = max(1, chains)
-    return [
-        tuple(range(lo, min(lo + step, restarts)))
-        for lo in range(0, restarts, step)
-    ]
-
-
-def _run_task(task: SearchTask) -> List[TaskResult]:
-    """Execute one task (module-level so it pickles for pool workers).
-
-    Returns one :class:`TaskResult` per restart in the group, in
-    restart order.  Each chain draws its stream from
-    ``derived_rng(base_seed, C, restart)``, so a restart computes the
-    same chain in any group.  The group shares one event sink; its
-    events and metrics ride on the first restart's result so the
-    parent-side merge sees them exactly once.
-    """
-    # NB: an empty MemorySink is falsy (it has __len__), so the guards
-    # here must compare against None explicitly.
-    sink = MemorySink() if task.capture_events else None
-    obs = Instrumentation(sinks=[] if sink is None else [sink])
-    restarts = task.restarts
-    obs.set_context(
-        task=[task.link_limit, restarts[0] if len(restarts) == 1 else list(restarts)]
-    )
-    # Under impl="native", constructing the objective warms the
-    # compiled backend up (shared-object load, once per worker
-    # process) before any solve span opens; the cost is reported as a
-    # kernel.compile event on this worker's sink instead of polluting
-    # the latency.floyd_warshall span.
-    objective = RowObjective(
-        cost=task.cost,
-        weights=task.weights,
-        impl=task.impl,
-        obs=None if obs.is_null else obs,
-    )
-    solutions = _solve_row(
-        task.n,
-        task.link_limit,
-        rngs=[derived_rng(task.base_seed, task.link_limit, r) for r in restarts],
-        method=task.method,
-        objective=objective,
-        params=task.params,
-        max_evaluations=task.max_evaluations,
-        obs=obs,
-        progress_every=task.progress_every,
-        incremental=task.incremental,
-        resync_every=task.resync_every,
-    )
-    return [
-        TaskResult(
-            link_limit=task.link_limit,
-            restart=restart,
-            solution=solution,
-            events=(
-                [e.to_dict() for e in sink.events]
-                if sink is not None and idx == 0 else []
-            ),
-            metrics=obs.metrics.snapshot() if idx == 0 else {},
-        )
-        for idx, (restart, solution) in enumerate(zip(restarts, solutions))
-    ]
+from repro.obs.instrument import Instrumentation
 
 
 def parallel_map(fn, items: Sequence, jobs: int) -> List:
     """Order-preserving map, inline (``jobs <= 1``) or on a process pool.
 
-    The workhorse behind every parallel engine in the repo (the search
-    grid here, the simulation campaigns in :mod:`repro.sim.campaign`).
     ``fn`` must be a module-level callable and every item picklable;
     ``pool.map`` returns results in item order regardless of which
     worker finished first, so downstream reduction sees the same
@@ -192,71 +46,15 @@ def parallel_map(fn, items: Sequence, jobs: int) -> List:
         return pool.map(fn, items, chunksize=1)
 
 
-def run_tasks(tasks: Sequence[SearchTask], jobs: int) -> List[TaskResult]:
-    """Run search tasks inline or on a process pool, in task order.
+def _merge_observability(obs: Instrumentation, results: Sequence) -> None:
+    """Fold worker events/metrics into the parent, in item order.
 
-    Each task yields one result per restart in its group; the flattened
-    list is in ``(task, restart)`` order, which -- with consecutive
-    chain groups -- is plain ``(C, restart)`` order.
-    """
-    return [
-        result
-        for group in parallel_map(_run_task, tasks, jobs)
-        for result in group
-    ]
-
-
-def best_of(results: Sequence[TaskResult]) -> TaskResult:
-    """Deterministic reduction: lowest energy, then lowest restart index."""
-    if not results:
-        raise ConfigurationError("cannot reduce an empty result set")
-    return min(results, key=lambda r: (r.solution.energy, r.restart))
-
-
-def _check_grid(restarts: int, jobs: int, chains: int) -> int:
-    """Validate the execution grid; returns the effective restart count.
-
-    ``chains=K`` alone means "run K lockstep chains", so the restart
-    count is raised to at least ``chains`` -- mirroring
-    :attr:`repro.api.SearchConfig.effective_restarts`.
-    """
-    if restarts < 1:
-        raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if chains < 1:
-        raise ConfigurationError(f"chains must be >= 1, got {chains}")
-    return max(restarts, chains)
-
-
-def _require_base_seed(base_seed) -> int:
-    """Coerce the parallel engine's seed; generators are rejected.
-
-    A shared :class:`numpy.random.Generator` is inherently sequential
-    -- its state would depend on task execution order -- so parallel
-    searches demand an integer seed (or ``None`` for fresh entropy,
-    still an int so the run can be replayed from logs).
-    """
-    if base_seed is None:
-        return fresh_entropy()
-    if isinstance(base_seed, (int, np.integer)):
-        return int(base_seed)
-    raise ConfigurationError(
-        "parallel search requires an integer base seed (or None); "
-        f"got {type(base_seed).__name__} -- a shared generator cannot be "
-        "split deterministically across workers"
-    )
-
-
-def _merge_observability(
-    obs: Instrumentation, results: Sequence[TaskResult]
-) -> None:
-    """Fold worker events/metrics into the parent, in task order.
-
-    Gauge conflicts resolve by each result's grid coordinate
-    (``obs_key``), not arrival order, so the merged registry is a pure
-    function of the result *set* -- permuting worker completion (or
-    even the merge order itself) cannot change the summary.
+    Each result carries ``events`` (``Event.to_dict`` form) and
+    ``metrics`` (a registry snapshot), and optionally an ``obs_key``.
+    Gauge conflicts resolve by that key (the item's grid coordinate),
+    not arrival order, so the merged registry is a pure function of the
+    result *set* -- permuting worker completion (or even the merge order
+    itself) cannot change the summary.
     """
     if obs.is_null:
         return
@@ -264,175 +62,3 @@ def _merge_observability(
         if obs.enabled and res.events:
             obs.replay(res.events, worker=worker)
         obs.metrics.merge(res.metrics, key=getattr(res, "obs_key", None) or (worker,))
-
-
-def _build_tasks(
-    limits: Sequence[int], restarts: int, chains: int, **fields
-) -> List[SearchTask]:
-    """One task per ``(C, chain group)``; ``fields`` are the other
-    :class:`SearchTask` fields, shared by every task."""
-    return [
-        SearchTask(link_limit=limit, restarts=group, **fields)
-        for limit in limits
-        for group in _chain_groups(restarts, chains)
-    ]
-
-
-def parallel_row_search(
-    n: int,
-    link_limit: int,
-    method: str = "dc_sa",
-    params: AnnealingParams | None = None,
-    cost: HopCostModel | None = None,
-    weights=None,
-    impl: str = "vectorized",
-    base_seed=None,
-    max_evaluations: Optional[int] = None,
-    restarts: int = 1,
-    jobs: int = 1,
-    chains: int = 1,
-    incremental: bool = False,
-    resync_every: int = 1_000,
-    progress_every: int = 0,
-    obs: Optional[Instrumentation] = None,
-) -> Tuple[RowSolution, Tuple[float, ...]]:
-    """Multi-restart solve of one ``P~(n, C)`` instance.
-
-    Returns the winning :class:`RowSolution` plus the per-restart final
-    energies (restart order), so callers can report the spread.
-    ``chains=K`` packs consecutive restarts into lockstep groups of
-    ``K`` (one batched objective call per move per group) without
-    changing any result byte; it composes freely with ``jobs``.
-    """
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    restarts = _check_grid(restarts, jobs, chains)
-    obs = ensure_obs(obs)
-    seed = _require_base_seed(base_seed)
-    limit = validated_link_limit(n, link_limit, obs)
-    tasks = _build_tasks(
-        [limit], restarts, chains, n=n, method=method,
-        params=params or AnnealingParams(), cost=cost or HopCostModel(),
-        weights=weights, impl=impl, base_seed=seed,
-        max_evaluations=max_evaluations, capture_events=obs.enabled,
-        incremental=incremental, resync_every=resync_every,
-        progress_every=progress_every,
-    )
-    if obs.enabled:
-        obs.emit("parallel.start", n=n, link_limit=limit, method=method,
-                 restarts=restarts, jobs=jobs, chains=chains,
-                 tasks=len(tasks), base_seed=seed)
-    with obs.span("parallel.row_search"):
-        results = run_tasks(tasks, jobs)
-    _merge_observability(obs, results)
-    best = best_of(results)
-    energies = tuple(r.solution.energy for r in results)
-    if not obs.is_null:
-        obs.metrics.counter("parallel.tasks").inc(len(tasks))
-        obs.metrics.gauge("parallel.jobs").set(jobs)
-    if obs.enabled:
-        obs.emit("parallel.end", n=n, link_limit=link_limit,
-                 best_energy=best.solution.energy, best_restart=best.restart)
-    return best.solution, energies
-
-
-def parallel_sweep(
-    n: int,
-    method: str = "dc_sa",
-    bandwidth: BandwidthConfig | None = None,
-    mix: PacketMix | None = None,
-    cost: HopCostModel | None = None,
-    params: AnnealingParams | None = None,
-    base_seed=None,
-    link_limits: Optional[Tuple[int, ...]] = None,
-    max_evaluations: Optional[int] = None,
-    restarts: int = 1,
-    jobs: int = 1,
-    chains: int = 1,
-    weights=None,
-    impl: str = "vectorized",
-    incremental: bool = False,
-    resync_every: int = 1_000,
-    progress_every: int = 0,
-    obs: Optional[Instrumentation] = None,
-) -> SweepResult:
-    """Full ``C`` sweep with ``restarts`` SA chains per limit.
-
-    The parallel counterpart of :func:`repro.core.optimizer.optimize`:
-    the ``(C, restart)`` grid runs on up to ``jobs`` processes, and for
-    a fixed ``base_seed`` the returned :class:`SweepResult` carries
-    bit-identical placements for every ``jobs`` value.  ``chains=K``
-    additionally packs consecutive restarts into lockstep population
-    groups -- same placements, fewer kernel launches.  Every requested
-    ``C`` is validated once here (:func:`validated_link_limit`):
-    oversized limits are clamped to ``C_full`` with a ``config.clamp``
-    event before any worker spawns.
-    """
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    restarts = _check_grid(restarts, jobs, chains)
-    bandwidth = bandwidth or BandwidthConfig()
-    mix = mix or PacketMix.paper_default()
-    cost = cost or HopCostModel()
-    params = params or AnnealingParams()
-    obs = ensure_obs(obs)
-    seed = _require_base_seed(base_seed)
-    limits = tuple(dict.fromkeys(
-        validated_link_limit(n, c, obs)
-        for c in (link_limits or bandwidth.valid_link_limits(n))
-    ))
-
-    searched = [c for c in limits if c > 1]
-    tasks = _build_tasks(
-        searched, restarts, chains, n=n, method=method, params=params,
-        cost=cost, weights=weights, impl=impl, base_seed=seed,
-        max_evaluations=max_evaluations, capture_events=obs.enabled,
-        incremental=incremental, resync_every=resync_every,
-        progress_every=progress_every,
-    )
-    if obs.enabled:
-        obs.emit("parallel.start", n=n, method=method, restarts=restarts,
-                 jobs=jobs, chains=chains, tasks=len(tasks), base_seed=seed,
-                 link_limits=list(limits))
-    with obs.span("parallel.sweep"):
-        results = run_tasks(tasks, jobs)
-    _merge_observability(obs, results)
-
-    by_limit: Dict[int, List[TaskResult]] = {}
-    for res in results:
-        by_limit.setdefault(res.link_limit, []).append(res)
-
-    sweep = SweepResult(n=n, method=method, restarts=restarts, jobs=jobs,
-                        chains=chains)
-    objective = RowObjective(cost=cost, weights=weights, impl=impl)
-    for limit in limits:
-        if limit == 1:
-            mesh = RowPlacement.mesh(n)
-            solution = RowSolution(
-                n=n,
-                link_limit=1,
-                placement=mesh,
-                energy=objective(mesh),
-                method=method,
-                evaluations=1,
-                wall_time_s=0.0,
-            )
-            sweep.restart_energies[1] = (solution.energy,)
-        else:
-            group = by_limit[limit]
-            solution = best_of(group).solution
-            sweep.restart_energies[limit] = tuple(
-                r.solution.energy for r in group
-            )
-        sweep.solutions[limit] = solution
-        sweep.points[limit] = design_point(
-            solution.placement, limit, bandwidth, mix, cost
-        )
-    if not obs.is_null:
-        obs.metrics.counter("parallel.tasks").inc(len(tasks))
-        obs.metrics.gauge("parallel.jobs").set(jobs)
-    if obs.enabled:
-        best = sweep.best
-        obs.emit("parallel.end", n=n, best_link_limit=best.link_limit,
-                 best_total_latency=best.total_latency)
-    return sweep

@@ -79,7 +79,7 @@ from repro.sim.config import SimConfig
 from repro.topology.mesh import MeshTopology
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError, InvalidPlacementError
-from repro.util.rngtools import derived_rng, ensure_rng, fresh_entropy
+from repro.util.rngtools import derived_rng, fresh_entropy
 
 __all__ = [
     "ParetoFront",
@@ -906,9 +906,9 @@ def pareto_front(
 
     if len(chosen) == 1:
         # Degenerate single-axis front: the scalar solve itself.  The
-        # rng stream matches solve_row_problem's exactly, which is the
-        # bitwise endpoint-agreement contract both drivers share.
-        rng = ensure_rng(config.seed)
+        # rng stream is solve_row_problem's restart 0 exactly, which is
+        # the bitwise endpoint-agreement contract both drivers share.
+        rng = derived_rng(base_seed, effective_link_limit(n, link_limit), 0)
         if chosen[0] == "latency":
             solution = _solve_row(
                 n,

@@ -836,10 +836,10 @@ def solve_space(
     simulated annealing with the replicated D&C row solution (the same
     warm start the row space gets, embedded in the larger space) and
     ``"only_sa"`` starts from a random feasible state.  The annealer
-    is one :func:`~repro.core.annealing.anneal_population` call: a
-    single chain on the ``config.seed`` stream, or with ``config.chains
-    > 1`` one derived stream per chain (``derived_rng(seed, C,
-    chain)``); the best chain wins, ties to the lowest index.
+    is one :func:`~repro.core.annealing.anneal_population` call with
+    one derived stream per chain (``derived_rng(seed, C_eff, chain)``),
+    so chain 0 of any group is the single-chain run; the best chain
+    wins, ties to the lowest index.
     Multi-process ``restarts``/``jobs`` and the incremental engine stay
     row-space-only (``SearchConfig`` enforces this).
     """
@@ -896,11 +896,8 @@ def solve_space(
         seed_energy = objective(seed_placement)
         state0 = _state_from_placement(space, seed_placement, limit)
 
-    if config.chains > 1:
-        base_seed = fresh_entropy() if config.seed is None else config.seed
-        rngs = [derived_rng(base_seed, limit, k) for k in range(config.chains)]
-    else:
-        rngs = [ensure_rng(config.seed)]
+    base_seed = fresh_entropy() if config.seed is None else config.seed
+    rngs = [derived_rng(base_seed, limit, k) for k in range(config.chains)]
     initials = [
         state0 if state0 is not None else _random_state(space, n, limit, gen)
         for gen in rngs

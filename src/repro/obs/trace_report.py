@@ -231,10 +231,13 @@ def summarize_by_task(events: List[Dict]) -> List[str]:
     for task in sorted(groups, key=lambda t: tuple(map(str, t))):
         evs = groups[task]
         spans = [_payload(e) for e in evs if e["kind"] == "span"]
+        # A task's top spans are roots on a worker, but nest under the
+        # parent's span when the task ran inline.
+        ids = {s["span_id"] for s in spans if "span_id" in s}
         busy = sum(
             s.get("elapsed_s", 0.0)
             for s in spans
-            if "parent_span_id" not in s
+            if s.get("parent_span_id") not in ids
         )
         result = "-"
         for e in evs:

@@ -485,6 +485,21 @@ class TestTraceReportWorkerViews:
                    for line in lines[1:]]
         assert elapsed == sorted(elapsed, reverse=True)
 
+    def test_inline_tasks_keep_their_busy_time(self, tmp_path, capsys):
+        # At jobs=1 the tasks run inline, so their spans nest under the
+        # caller's sweep span instead of being worker roots.
+        from repro.obs import load_events
+        from repro.obs.trace_report import summarize_by_task
+
+        trace = str(tmp_path / "inline.jsonl")
+        assert main([
+            "optimize", "--n", "6", "--effort", "smoke", "--trace-out", trace,
+        ]) == 0
+        capsys.readouterr()
+        rows = summarize_by_task(load_events(trace))[2:]
+        assert len(rows) == 3  # C = 2, 4, 8
+        assert all(float(row.split()[-2]) > 0 for row in rows)
+
     def test_single_worker_trace_degrades_to_one_row(self, tmp_path, capsys):
         trace = str(tmp_path / "solo.jsonl")
         assert main([

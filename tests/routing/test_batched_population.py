@@ -34,7 +34,8 @@ from repro.core.connection_matrix import (
     iter_unique_placements,
 )
 from repro.core.latency import RowObjective
-from repro.core.parallel import parallel_row_search, parallel_sweep
+from repro.api import SearchConfig
+from repro.core.optimizer import optimize, solve_row_problem
 from repro.obs import MemorySink
 from repro.obs.instrument import Instrumentation
 from repro.routing.impls import available_impls
@@ -281,14 +282,31 @@ def test_anneal_population_does_not_mutate_initials():
 # chains=K across the engine stack
 # ----------------------------------------------------------------------
 
+def _row_search(n, link_limit, seed, method="dc_sa", **grid):
+    """One-``C`` solve plus its per-restart energies."""
+    result = solve_row_problem(
+        n, link_limit, method=method, params=SMOKE,
+        config=SearchConfig(seed=seed, **grid),
+    )
+    [(_, energies)] = result.restart_energies
+    return result, energies
+
+
+def _sweep(n, seed, method="dc_sa", obs=None, **grid):
+    return optimize(
+        n, method=method, params=SMOKE, obs=obs,
+        config=SearchConfig(seed=seed, **grid),
+    ).sweep
+
+
 @pytest.mark.parametrize("method", ["dc_sa", "only_sa"])
 def test_chains_equal_serial_restarts(method):
-    base_sol, base_energies = parallel_row_search(
-        8, 3, method=method, params=SMOKE, base_seed=2019, restarts=4
+    base_sol, base_energies = _row_search(
+        8, 3, method=method, seed=2019, restarts=4
     )
     for chains, jobs in ((2, 1), (4, 1), (3, 2)):
-        sol, energies = parallel_row_search(
-            8, 3, method=method, params=SMOKE, base_seed=2019,
+        sol, energies = _row_search(
+            8, 3, method=method, seed=2019,
             restarts=4, chains=chains, jobs=jobs,
         )
         assert energies == base_energies
@@ -298,14 +316,14 @@ def test_chains_equal_serial_restarts(method):
 
 
 def test_chains_alone_implies_restarts():
-    _, base = parallel_row_search(8, 3, params=SMOKE, base_seed=7, restarts=3)
-    _, got = parallel_row_search(8, 3, params=SMOKE, base_seed=7, chains=3)
+    _, base = _row_search(8, 3, seed=7, restarts=3)
+    _, got = _row_search(8, 3, seed=7, chains=3)
     assert got == base
 
 
 def test_sweep_chains_parity():
-    a = parallel_sweep(6, params=SMOKE, base_seed=47, restarts=4)
-    b = parallel_sweep(6, params=SMOKE, base_seed=47, restarts=4, chains=2)
+    a = _sweep(6, seed=47, restarts=4)
+    b = _sweep(6, seed=47, restarts=4, chains=2)
     assert a.restart_energies == b.restart_energies
     for limit, sol in a.solutions.items():
         other = b.solutions[limit]
@@ -320,8 +338,8 @@ INCREMENTAL_COUNTERS = ("sa.eval.incremental", "sa.eval.full", "sa.selfcheck")
 
 def _incremental_sweep(**grid):
     obs = Instrumentation(sinks=[])
-    sweep = parallel_sweep(
-        8, method="only_sa", params=SMOKE, base_seed=2019,
+    sweep = _sweep(
+        8, seed=2019, method="only_sa",
         incremental=True, resync_every=50, obs=obs, **grid,
     )
     return sweep, obs.metrics.snapshot()["counters"]
@@ -391,5 +409,48 @@ class TestValidatedLinkLimit:
         assert clamps[0].payload["effective_link_limit"] == 16
 
     def test_engine_solves_clamped_instance(self):
-        sol, _ = parallel_row_search(6, 99, params=SMOKE, base_seed=1)
-        assert sol.link_limit == validated_link_limit(6, 99)
+        # Reported at the requested C, solved at C_full.
+        sol, _ = _row_search(6, 99, seed=1)
+        clamped, _ = _row_search(6, validated_link_limit(6, 99), seed=1)
+        assert sol.link_limit == 99
+        assert sol.placement == clamped.placement
+        assert sol.energy == clamped.energy
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_oversized_limit_sweep_keyed_at_requested_limit(self, jobs):
+        # C_full(6) = 9 and 256 % 9 != 0: costing at the clamped limit
+        # used to raise under jobs > 1.
+        result = optimize(6, link_limits=(2, 16), params=SMOKE,
+                          config=SearchConfig(seed=1, jobs=jobs))
+        serial = optimize(6, link_limits=(2, 16), params=SMOKE,
+                          config=SearchConfig(seed=1))
+        assert sorted(result.sweep.points) == [2, 16]
+        assert result.sweep.points[16].flit_bits == 16
+        for c in (2, 16):
+            assert (result.sweep.solutions[c].placement
+                    == serial.sweep.solutions[c].placement)
+            assert (result.sweep.points[c].total_latency
+                    == serial.sweep.points[c].total_latency)
+        assert result.latency_curve == serial.latency_curve
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_oversized_limit_solve_reports_requested_limit(self, jobs):
+        def solve(jobs):
+            return solve_row_problem(6, 16, params=SMOKE,
+                                     config=SearchConfig(seed=1, jobs=jobs))
+
+        result, serial = solve(jobs), solve(1)
+        assert result.link_limit == serial.link_limit == 16
+        assert result.placement == serial.placement
+        assert result.energy == serial.energy
+
+    def test_oversized_limit_events_agree(self):
+        sink = MemorySink()
+        solve_row_problem(6, 16, params=SMOKE, obs=Instrumentation(sinks=[sink]),
+                          config=SearchConfig(seed=1, restarts=2, jobs=2))
+        [start] = sink.of_kind("parallel.start")
+        [end] = sink.of_kind("parallel.end")
+        [clamp] = sink.of_kind("config.clamp")
+        assert start.payload["problems"] == [[6, 16]]
+        assert [w[1] for w in end.payload["winners"]] == [16]
+        assert clamp.payload["effective_link_limit"] == 9

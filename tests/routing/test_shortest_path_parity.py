@@ -22,8 +22,7 @@ import pytest
 from repro.core.annealing import AnnealingParams
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.core.latency import RowObjective
-from repro.core.optimizer import optimize
-from repro.core.parallel import parallel_row_search
+from repro.core.optimizer import optimize, solve_row_problem
 from repro.routing.shortest_path import (
     HopCostModel,
     LEFT_TO_RIGHT,
@@ -158,6 +157,18 @@ def _parallel_sweep(n, seed, restarts, jobs, **kwargs):
     return optimize(n, params=SMALL, config=cfg, **kwargs).sweep
 
 
+def _row_search(n, link_limit, seed, method="dc_sa", **grid):
+    """One-``C`` solve plus its per-restart energies."""
+    from repro.api import SearchConfig
+
+    result = solve_row_problem(
+        n, link_limit, method=method, params=SMALL,
+        config=SearchConfig(seed=seed, **grid),
+    )
+    [(_, energies)] = result.restart_energies
+    return result, energies
+
+
 class TestParallelEngineParity:
     """The jobs knob changes wall-clock only, never results."""
 
@@ -181,13 +192,46 @@ class TestParallelEngineParity:
         assert base.best == other.best
         assert base.restart_energies == other.restart_energies
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_default_grid_identical_at_every_jobs(self, jobs):
+        # The default config is the 1-restart task grid, so jobs stays
+        # a pure wall-clock knob at one restart too.
+        from repro.api import SearchConfig
+
+        def wire(jobs):
+            result = optimize(8, params=SMALL,
+                              config=SearchConfig(seed=2019, jobs=jobs))
+            data = result.to_json()
+            del data["wall_time_s"], data["config"]["jobs"]
+            return data
+
+        assert wire(jobs) == wire(1)
+
+    @pytest.mark.parametrize("space, grid", [
+        ("row", {"restarts": 3}),
+        ("row", {"chains": 2, "jobs": 2}),
+        ("grid2d", {"chains": 3}),
+    ])
+    def test_more_chains_never_worse_than_default(self, space, grid):
+        # Restart (or chain) 0 is the default run's chain, so the best
+        # of several is never worse at any C.
+        from repro.api import SearchConfig
+
+        def sweep(**extra):
+            config = SearchConfig(seed=3, space=space, **extra)
+            return optimize(6, method="only_sa", params=SMALL,
+                            config=config).sweep
+
+        base, wide = sweep(), sweep(**grid)
+        assert base.solutions.keys() == wide.solutions.keys()
+        for c, solution in base.solutions.items():
+            assert wide.solutions[c].energy <= solution.energy
+            if space == "row":
+                assert wide.restart_energies[c][0] == solution.energy
+
     def test_row_search_parallel_bit_identical(self):
-        a, ea = parallel_row_search(
-            8, 4, params=SMALL, base_seed=11, restarts=4, jobs=1
-        )
-        b, eb = parallel_row_search(
-            8, 4, params=SMALL, base_seed=11, restarts=4, jobs=3
-        )
+        a, ea = _row_search(8, 4, seed=11, restarts=4, jobs=1)
+        b, eb = _row_search(8, 4, seed=11, restarts=4, jobs=3)
         assert a.placement == b.placement
         assert a.energy == b.energy
         assert ea == eb
@@ -205,8 +249,8 @@ class TestParallelEngineParity:
     def test_reduction_tie_break_prefers_lowest_restart(self):
         # exact method: every restart returns the same optimum, so the
         # (energy, restart) tie-break must pick restart 0.
-        sol, energies = parallel_row_search(
-            6, 2, method="exact", base_seed=1, restarts=3, jobs=2
+        sol, energies = _row_search(
+            6, 2, method="exact", seed=1, restarts=3, jobs=2
         )
         assert len(set(energies)) == 1
         assert sol.energy == energies[0]
@@ -215,7 +259,6 @@ class TestParallelEngineParity:
         from repro.util.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            parallel_row_search(
-                6, 2, params=SMALL, base_seed=np.random.default_rng(3),
-                restarts=2, jobs=2,
+            _row_search(
+                6, 2, seed=np.random.default_rng(3), restarts=2, jobs=2,
             )

@@ -27,7 +27,8 @@ class TestSearchConfig:
         assert cfg.restarts == 1 and cfg.jobs == 1
         assert cfg.impl == "vectorized"
         assert not cfg.incremental
-        assert not cfg.parallel
+        # The default search is the 1-restart, 1-job task grid.
+        assert cfg.chains == 1 and cfg.effective_restarts == 1
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -51,13 +52,13 @@ class TestSearchConfig:
 
     def test_chains_compose_with_incremental(self):
         cfg = SearchConfig(chains=2, incremental=True)
-        assert cfg.parallel and cfg.incremental and cfg.effective_restarts == 2
+        assert cfg.incremental and cfg.effective_restarts == 2
 
     def test_parallel_property(self):
-        assert SearchConfig(restarts=2).parallel
-        assert SearchConfig(jobs=2).parallel
-        assert SearchConfig(chains=2).parallel
-        assert not SearchConfig(restarts=1, jobs=1, chains=1).parallel
+        # Every row search runs on the task grid; there is no
+        # sequential mode left to switch to.
+        for cfg in (SearchConfig(), SearchConfig(restarts=2, jobs=2)):
+            assert not hasattr(cfg, "parallel")
 
     def test_effective_restarts(self):
         assert SearchConfig().effective_restarts == 1

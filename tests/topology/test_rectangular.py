@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import SearchConfig
 from repro.core.annealing import AnnealingParams
-from repro.core.optimizer import best_rectangular, optimize_rectangular
+from repro.core.optimizer import best_rectangular, optimize, optimize_rectangular
 from repro.routing.deadlock import is_deadlock_free
 from repro.routing.dor import compute_route
 from repro.routing.tables import RoutingTables
@@ -15,6 +16,7 @@ from repro.traffic.injection import TraceTraffic
 from repro.util.errors import ConfigurationError
 
 QUICK = AnnealingParams(total_moves=300, moves_per_cooldown=100)
+SEEDED = SearchConfig(seed=1)
 
 
 class TestRectTopology:
@@ -88,13 +90,13 @@ class TestRectSimulation:
 
 class TestRectOptimizer:
     def test_sweep_structure(self):
-        points = optimize_rectangular(8, 4, params=QUICK, rng=1)
+        points = optimize_rectangular(8, 4, params=QUICK, config=SEEDED)
         assert 1 in points
         best = best_rectangular(points)
         assert best.total_latency <= points[1].total_latency
 
     def test_dimensions_solved_independently(self):
-        points = optimize_rectangular(8, 4, params=QUICK, rng=1, link_limits=(2,))
+        points = optimize_rectangular(8, 4, params=QUICK, config=SEEDED, link_limits=(2,))
         p = points[2]
         assert p.row_placement.n == 8
         assert p.col_placement.n == 4
@@ -105,11 +107,31 @@ class TestRectOptimizer:
         # For a square, head latency is row avg + col avg = 2x row avg.
         from repro.core.latency import mean_row_head_latency
 
-        points = optimize_rectangular(4, 4, params=QUICK, rng=1, link_limits=(1,))
+        points = optimize_rectangular(4, 4, params=QUICK, config=SEEDED, link_limits=(1,))
         assert points[1].head_latency == pytest.approx(
             2 * mean_row_head_latency(RowPlacement.mesh(4))
         )
 
     def test_best_beats_rect_mesh(self):
-        points = optimize_rectangular(8, 4, params=QUICK, rng=1, link_limits=(1, 2, 4))
+        points = optimize_rectangular(8, 4, params=QUICK, config=SEEDED, link_limits=(1, 2, 4))
         assert best_rectangular(points).total_latency < points[1].total_latency
+
+    def test_legacy_rng_keyword_rejected(self):
+        with pytest.raises(TypeError, match="SearchConfig"):
+            optimize_rectangular(8, 4, params=QUICK, rng=1)
+
+    @pytest.mark.parametrize("config", [
+        SEEDED, SearchConfig(seed=5, restarts=2), SearchConfig(seed=5, jobs=2),
+    ])
+    def test_square_matches_optimize_at_every_limit(self, config):
+        # One search grid: a square mesh solves exactly optimize's
+        # (n, C, restart) tasks, so every C gets the same row design.
+        points = optimize_rectangular(6, 6, params=QUICK, config=config)
+        sweep = optimize(6, params=QUICK, config=config).sweep
+        assert sorted(points) == sorted(sweep.solutions)
+        for c, point in points.items():
+            assert point.row_placement == sweep.solutions[c].placement
+            assert point.col_placement == point.row_placement
+            assert point.total_latency == pytest.approx(
+                sweep.points[c].total_latency
+            )
