@@ -15,8 +15,10 @@ paper's is the mean row head latency evaluated by directional
 Floyd-Warshall, and Section 5.6.4 swaps in a traffic-weighted variant.
 
 There is one move loop, :func:`anneal_population`, which runs ``K``
-chains in lockstep, each with its own pricing strategy (memoized full
-solves or the incremental engine); :func:`anneal` is its ``K = 1`` call.
+chains in lockstep, each with its own pricing strategy; :func:`anneal`
+is its ``K = 1`` call.  Row-space chains price a move from the flipped
+bit -- a live weight stack or the incremental engine, behind a memo
+keyed by an ``int`` link mask -- and never decode per move.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ import numpy as np
 
 from repro.core.connection_matrix import ConnectionMatrix
 from repro.obs.instrument import Instrumentation, ensure_obs
+from repro.routing.shortest_path import (
+    INF,
+    set_link_weight,
+    weight_stack_population,
+)
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
 from repro.util.rngtools import ensure_rng
@@ -104,6 +111,8 @@ class MemoizedObjective:
     objectives once a cache is shared across restarts).  The byte key
     maps 1:1 to placement values, so hit/miss patterns -- and therefore
     search trajectories -- are identical to placement-keyed caching.
+    The row annealer keys by its ``int`` link mask instead, which is
+    just as 1:1.
 
     The cache is bounded: once it holds ``max_size`` entries it is
     cleared wholesale, so long multi-restart sweeps cannot grow memory
@@ -132,39 +141,43 @@ class MemoizedObjective:
     #: reserved for in-batch placeholders inside :meth:`evaluate_many`).
     MISS = object()
 
-    def lookup(self, placement: RowPlacement):
-        """Probe the cache, accounting one call plus a hit or a miss.
+    def lookup(self, key):
+        """Probe the cache by key, accounting one call plus a hit or a miss.
 
         Returns the cached energy, or :data:`MISS` -- the caller must
         then compute the energy and hand it to :meth:`store`.  The
         split exists so batch engines (``evaluate_many``,
         ``anneal_population``) can collect misses across a population,
         price them with one kernel call, and still produce exactly the
-        counter sequence of scalar ``__call__`` usage.
+        counter sequence of scalar ``__call__`` usage.  Any key that
+        maps 1:1 to placement values keeps the counters identical:
+        ``canonical_bytes`` here and in the mesh annealer, the ``int``
+        link mask in the row annealer.
         """
         self.calls += 1
-        hit = self._cache.get(placement.canonical_bytes())
+        hit = self._cache.get(key)
         if hit is not None:
             self.hits += 1
             return hit
         self.misses += 1
         return self.MISS
 
-    def store(self, placement: RowPlacement, value: float) -> float:
+    def store(self, key, value: float) -> float:
         """Insert a freshly computed energy (the second half of a miss),
         with the same bounded clear-wholesale semantics as ``__call__``."""
         if len(self._cache) >= self.max_size:
             self._cache.clear()
             self.overflows += 1
-        self._cache[placement.canonical_bytes()] = value
+        self._cache[key] = value
         self.evaluations += 1
         return value
 
     def __call__(self, placement: RowPlacement) -> float:
-        value = self.lookup(placement)
+        key = placement.canonical_bytes()
+        value = self.lookup(key)
         if value is not self.MISS:
             return value
-        return self.store(placement, self._objective(placement))
+        return self.store(key, self._objective(placement))
 
     def evaluate_many(
         self,
@@ -253,48 +266,6 @@ class MemoizedObjective:
         return len(self._cache)
 
 
-class _IncrementalMemo:
-    """Accounting twin of :class:`MemoizedObjective` for the engine path.
-
-    In incremental mode every candidate is priced by the APSP engine --
-    never served from a cache -- but the annealer's evaluation budget,
-    trace points, stage events and memo metrics are all defined by
-    MemoizedObjective's counters.  This class replays that bookkeeping
-    exactly (same bounded clear-wholesale cache semantics), keyed by
-    the engine's link set, which maps 1:1 to ``canonical_bytes`` at
-    fixed ``n`` -- so both modes agree on every counter at every move
-    and the search trajectories stay comparable move for move.
-    """
-
-    def __init__(self, max_size: int = MemoizedObjective.DEFAULT_MAX_SIZE):
-        self._seen: set = set()
-        self.max_size = max_size
-        self.evaluations = 0
-        self.calls = 0
-        self.hits = 0
-        self.misses = 0
-        self.overflows = 0
-
-    def account(self, key: frozenset) -> None:
-        self.calls += 1
-        if key in self._seen:
-            self.hits += 1
-            return
-        self.misses += 1
-        if len(self._seen) >= self.max_size:
-            self._seen.clear()
-            self.overflows += 1
-        self._seen.add(key)
-        self.evaluations += 1
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.calls if self.calls else 0.0
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-
 def _layer_link_counts(state: ConnectionMatrix) -> Counter:
     """Multiset of links over all layers (layers may duplicate a link;
     the decoded placement changes only when a count crosses 0 <-> 1)."""
@@ -305,21 +276,42 @@ def _layer_link_counts(state: ConnectionMatrix) -> Counter:
     return counts
 
 
-class _FullPricing:
-    """Default per-chain pricing: a full objective solve behind a memo.
+def _link_mask(n: int, links) -> int:
+    """A link set as an ``int`` with bit ``i * n + j`` per link ``(i, j)``."""
+    mask = 0
+    for i, j in links:
+        mask |= 1 << (i * n + j)
+    return mask
 
-    :meth:`propose` applies the move and decodes the candidate but
-    leaves it unpriced (returns ``None``): the loop prices the pending
-    candidates of all such chains together (:func:`_price_pending`).
+
+def _mask_links(n: int, mask: int) -> frozenset:
+    """Inverse of :func:`_link_mask`."""
+    links = []
+    while mask:
+        low = mask & -mask
+        links.append(divmod(low.bit_length() - 1, n))
+        mask ^= low
+    return frozenset(links)
+
+
+class _FullPricing:
+    """Pricing for the mesh spaces: decode every candidate, memo by
+    placement.
+
+    :meth:`propose` applies the move, decodes the candidate and probes
+    the memo; a miss is left unpriced (``None``) for the loop to price
+    together with the other chains' misses (:func:`_price_pending`).
     """
 
     def __init__(self, objective: Objective) -> None:
         self.memo = MemoizedObjective(objective)
+        self.stack = None
         self.candidate: Optional[RowPlacement] = None
 
     def start(self, state) -> Optional[float]:
         self.candidate = state.decode()
-        return None
+        value = self.memo.lookup(self.candidate.canonical_bytes())
+        return None if value is MemoizedObjective.MISS else value
 
     def propose(self, state, site, current_energy: float) -> Optional[float]:
         state.flip(*site)
@@ -327,6 +319,9 @@ class _FullPricing:
 
     def placement(self, state) -> RowPlacement:
         return self.candidate
+
+    def store(self, value: float) -> float:
+        return self.memo.store(self.candidate.canonical_bytes(), value)
 
     def accept(self, chain: "_Chain", move: int, obs: Instrumentation) -> None:
         pass
@@ -338,22 +333,44 @@ class _FullPricing:
         pass
 
 
-class _IncrementalPricing:
-    """Per-chain pricing through the O(n^2) dynamic APSP engine.
+class _RowPricing:
+    """Row-space pricing from the flipped bit (Section 4.4's single-bit
+    moves on a :class:`ConnectionMatrix`).
 
-    Each candidate's link delta is applied to the chain's own
-    :mod:`repro.routing.incremental` engine under a checkpoint, then
-    committed on accept or rolled back on reject.  Every
-    ``resync_every`` accepted moves the engine is compared against a
-    full solve and repaired on mismatch (``sa.resync``).  The memo is
-    an :class:`_IncrementalMemo`, so both strategies agree on every
-    counter at every move.  Row-space only: it needs ``flip_diff``.
+    A flip changes at most three layer links
+    (:meth:`ConnectionMatrix.flip_diff`); per-link layer counts turn
+    them into the decoded placement's changes (a link appears or
+    disappears only when its count crosses 0 <-> 1).  The changes are
+    applied in place -- to the chain's link set, kept as an ``int``
+    with bit ``i * n + j`` per link (the memo key), and to one of two
+    engines -- and undone on reject:
+
+    * stack (default): a live ``(2, n, n)`` weight stack.  A memo miss
+      is priced by a full Floyd-Warshall over it
+      (``objective.price_stacks``), batched across the lockstep chains
+      by :func:`_price_pending`.  An objective without stack pricing
+      (the pure-Python ``"reference"`` tier, plain callables) prices a
+      miss on the placement rebuilt from the mask instead;
+    * ``incremental``: the O(n^2) dynamic APSP engine of
+      :mod:`repro.routing.incremental` prices every candidate under a
+      checkpoint, committed on accept and rolled back on reject; the
+      memo only accounts.  Every ``resync_every`` accepted moves the
+      engine is compared against a full solve and repaired on mismatch
+      (``sa.resync``).
+
+    Either way the memo is a :class:`MemoizedObjective` keyed by the
+    mask, which maps 1:1 to ``canonical_bytes`` at fixed ``n``: every
+    counter, and so the trajectory, equals decode-and-memo pricing at
+    every move.  No placement is built per move -- only for the start
+    state, a new best, and a miss without stack pricing.
     """
 
-    def __init__(self, objective, resync_every: int) -> None:
+    def __init__(self, objective, incremental: bool, resync_every: int) -> None:
         self.objective = objective
+        self.memo = MemoizedObjective(objective)
+        self.incremental = incremental
         self.resync_every = resync_every
-        self.memo = _IncrementalMemo()
+        self.stack = None
         self.incremental_evals = 0
         self.full_evals = 1  # the engine's initial build
         self.selfchecks = self.resyncs = 0
@@ -362,18 +379,44 @@ class _IncrementalPricing:
         self.added: Tuple = ()
         self.removed: Tuple = ()
 
-    def start(self, state) -> float:
-        self.evaluator = self.objective.incremental_evaluator(state.decode())
-        self.engine = self.evaluator.engine
-        self.link_counts = _layer_link_counts(state)
-        energy = self.evaluator.energy()
-        self.memo.account(frozenset(self.engine.links))
+    def start(self, state) -> Optional[float]:
+        placement = state.decode()
+        self.n = state.n
+        self.counts = _layer_link_counts(state)
+        self.key = _link_mask(self.n, placement.express_links)
+        if self.incremental:
+            self.evaluator = self.objective.incremental_evaluator(placement)
+            self.engine = self.evaluator.engine
+            return self._account(self.evaluator.energy())
+        if getattr(self.objective, "prices_stacks", False):
+            cost = self.objective.cost
+            self.stack = weight_stack_population([placement], cost)
+            self.hop = [cost.hop_cost(length) for length in range(self.n)]
+        return self._probe()
+
+    def _probe(self) -> Optional[float]:
+        value = self.memo.lookup(self.key)
+        return None if value is MemoizedObjective.MISS else value
+
+    def _account(self, energy: float) -> float:
+        if self._probe() is None:
+            self.memo.store(self.key, energy)
         return energy
 
-    def propose(self, state, site, current_energy: float) -> float:
+    def _toggle(self, changes, forward: bool) -> None:
+        """Apply (``forward``) or undo link changes on the mask and stack."""
+        n, stack = self.n, self.stack
+        for i, j, is_add in changes:
+            self.key ^= 1 << (i * n + j)
+            if stack is not None:
+                set_link_weight(
+                    stack, i, j, self.hop[j - i] if is_add == forward else INF
+                )
+
+    def propose(self, state, site, current_energy: float) -> Optional[float]:
         added, removed = state.flip_diff(*site)
         state.flip(*site)
-        counts = self.link_counts
+        counts = self.counts
         changes = []
         for link in removed:
             counts[link] -= 1
@@ -384,23 +427,27 @@ class _IncrementalPricing:
             if counts[link] == 1:
                 changes.append((link[0], link[1], True))
         self.added, self.removed, self.changes = added, removed, changes
+        self._toggle(changes, True)
+        if not self.incremental:
+            return self._probe()
         if changes:
             self.engine.checkpoint()
             self.engine.apply_link_changes(changes)
-            energy = self.evaluator.energy()
             self.incremental_evals += 1
-        else:
-            # Layers changed but the decoded placement did not
-            # (duplicate links across layers): same state, same
-            # energy -- exactly what the full strategy's memo returns.
-            energy = current_energy
-        self.memo.account(frozenset(self.engine.links))
-        return energy
+            return self._account(self.evaluator.energy())
+        # Layers changed but the decoded placement did not (duplicate
+        # links across layers): same state, same energy.
+        return self._account(current_energy)
 
     def placement(self, state) -> RowPlacement:
-        return RowPlacement(state.n, frozenset(self.engine.links))
+        return RowPlacement.from_normalized(self.n, _mask_links(self.n, self.key))
+
+    def store(self, value: float) -> float:
+        return self.memo.store(self.key, value)
 
     def accept(self, chain: "_Chain", move: int, obs: Instrumentation) -> None:
+        if not self.incremental:
+            return
         if self.changes:
             self.engine.commit()
         self.accepted_since_check += 1
@@ -424,14 +471,18 @@ class _IncrementalPricing:
 
     def reject(self, state, site) -> None:
         if self.changes:
-            self.engine.rollback()
+            self._toggle(self.changes, False)
+            if self.incremental:
+                self.engine.rollback()
         for link in self.added:
-            self.link_counts[link] -= 1
+            self.counts[link] -= 1
         for link in self.removed:
-            self.link_counts[link] += 1
+            self.counts[link] += 1
         state.flip(*site)
 
     def report(self, metrics) -> None:
+        if not self.incremental:
+            return
         metrics.counter("sa.eval.incremental").inc(self.incremental_evals)
         metrics.counter("sa.eval.full").inc(self.full_evals)
         metrics.counter("sa.selfcheck").inc(self.selfchecks)
@@ -469,38 +520,32 @@ class _Chain:
         self.pending_energy: Optional[float] = None
 
 
-def _price_pending(pending: Sequence[_Chain], objective: Objective) -> None:
-    """Price the candidates the full-pricing chains left unpriced.
+def _price_pending(missed: Sequence[_Chain], objective: Objective) -> None:
+    """Price the candidates that missed their chain's memo, and store them.
 
-    A lone pending chain is priced through its memo's scalar
-    ``__call__``, so a single chain pays nothing for batching.
-    Otherwise each chain's memo does its own hit/miss accounting
-    (exactly as its serial run would) and the misses of all chains are
-    priced with one ``objective.evaluate_many`` call -- one batched
-    Floyd-Warshall stack per move instead of one per chain.
+    Chains with a live weight stack are priced by one
+    ``objective.price_stacks`` call over their concatenated stacks (one
+    batched Floyd-Warshall per move instead of one per chain).  Other
+    chains' candidate placements go through the objective: a lone miss
+    through its scalar call, several through one
+    ``objective.evaluate_many`` batch when the objective has one.
     """
-    if len(pending) == 1:
-        chain = pending[0]
-        chain.pending_energy = chain.memo(chain.pricing.candidate)
-        return
-    missed: List[_Chain] = []
-    for chain in pending:
-        value = chain.memo.lookup(chain.pricing.candidate)
-        if value is MemoizedObjective.MISS:
-            missed.append(chain)
-        else:
-            chain.pending_energy = value
-    if not missed:
-        return
-    placements = [c.pricing.candidate for c in missed]
-    batched = getattr(objective, "evaluate_many", None)
-    if batched is None:
-        values = [float(objective(p)) for p in placements]
+    if missed[0].pricing.stack is not None:
+        stacks = [c.pricing.stack for c in missed]
+        values = objective.price_stacks(
+            stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        ).tolist()
     else:
-        values = [float(v) for v in batched(placements)]
-    for chain, placement, value in zip(missed, placements, values):
-        chain.memo.store(placement, value)
-        chain.pending_energy = value
+        placements = [c.pricing.placement(c.state) for c in missed]
+        batched = getattr(objective, "evaluate_many", None)
+        if len(placements) == 1:
+            values = [objective(placements[0])]
+        elif batched is None:
+            values = [float(objective(p)) for p in placements]
+        else:
+            values = [float(v) for v in batched(placements)]
+    for chain, value in zip(missed, values):
+        chain.pending_energy = chain.pricing.store(value)
 
 
 def anneal(
@@ -596,13 +641,18 @@ def anneal_population(
     (placement, energies, counters, trace) whatever else runs beside
     it.  Each chain prices its candidates with one of two strategies:
 
-    * full (default): a :class:`MemoizedObjective` per chain; every
-      move, the candidates of all live chains that miss their memo are
-      priced by one ``objective.evaluate_many`` batch (one
-      ``(2B, n, n)`` Floyd-Warshall stack) instead of one stack per
-      chain -- or by the memo's scalar call when a single chain is live;
-    * ``incremental=True``: the O(n^2) dynamic APSP engine, one per
-      chain (see :func:`anneal`).
+    * row space (:class:`ConnectionMatrix` states): each chain keeps
+      its link mask (the memo key) and a live ``(2, n, n)`` weight
+      stack up to date from the flipped bit; every move, the stacks of
+      all live chains that miss their memo are priced by one
+      ``objective.price_stacks`` call (one ``(2B, n, n)``
+      Floyd-Warshall).  Objectives without stack pricing price the
+      misses' placements, rebuilt from the masks, through one
+      ``objective.evaluate_many`` batch or the scalar call.  With
+      ``incremental=True`` the O(n^2) dynamic APSP engine, one per
+      chain, replaces the stack (see :func:`anneal`);
+    * mesh spaces: each chain decodes its candidate and memos it by
+      placement, misses batched the same way.
 
     ``rngs`` supplies one seed/generator per chain (``None`` entries --
     or ``rngs=None`` altogether -- draw fresh entropy, as
@@ -634,11 +684,17 @@ def anneal_population(
             "incremental_evaluator() (e.g. RowObjective); got "
             f"{type(objective).__name__}"
         )
+    row_space = all(hasattr(initial, "flip_diff") for initial in initials)
+    if incremental and not row_space:
+        raise ConfigurationError(
+            "incremental annealing runs on the row connection-matrix "
+            "space only (it needs flip_diff)"
+        )
     start = time.perf_counter()
     chains = [
         _Chain(
             k, initial.copy(), ensure_rng(rng),
-            _IncrementalPricing(objective, resync_every) if incremental
+            _RowPricing(objective, incremental, resync_every) if row_space
             else _FullPricing(objective),
         )
         for k, (initial, rng) in enumerate(zip(initials, rngs))
@@ -646,7 +702,9 @@ def anneal_population(
 
     for c in chains:
         c.pending_energy = c.pricing.start(c.state)
-    _price_pending([c for c in chains if c.pending_energy is None], objective)
+    missed = [c for c in chains if c.pending_energy is None]
+    if missed:
+        _price_pending(missed, objective)
     for c in chains:
         c.current_energy = c.initial_energy = c.best_energy = c.pending_energy
         c.best_placement = c.pricing.placement(c.state)
@@ -700,7 +758,7 @@ def anneal_population(
         if not live:
             break
         stage = move // params.moves_per_cooldown
-        pending = []
+        missed = []
         for c in live:
             c.last_move = move
             if stage != c.stage:
@@ -711,9 +769,9 @@ def anneal_population(
             c.site = c.state.random_move(c.gen)
             c.pending_energy = c.pricing.propose(c.state, c.site, c.current_energy)
             if c.pending_energy is None:
-                pending.append(c)
-        if pending:
-            _price_pending(pending, objective)
+                missed.append(c)
+        if missed:
+            _price_pending(missed, objective)
         for c in live:
             energy = c.pending_energy
             delta = energy - c.current_energy

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.routing.shortest_path import (
     HopCostModel,
     batched_mean_distances,
     directional_distances,
+    stack_mean_distances,
 )
 from repro.topology.row import RowPlacement
 from repro.util.errors import ConfigurationError
@@ -278,13 +280,20 @@ class RowObjective:
         with self.obs.span("latency.floyd_warshall"):
             return self._evaluate(placement)
 
+    @cached_property
+    def _weight_matrix(self) -> Optional[np.ndarray]:
+        """``weights`` as an array, or ``None`` for the unweighted mean."""
+        if self.weights is None:
+            return None
+        w = np.asarray(self.weights, dtype=float)
+        # A slice with no traffic falls back to the unweighted mean so
+        # searches on it remain well defined.
+        return None if w.sum() <= 0 else w
+
     def _evaluate(self, placement: RowPlacement) -> float:
-        w = None if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w is not None and w.sum() <= 0:
-            # A slice with no traffic: fall back to the unweighted mean
-            # so searches on it remain well defined.
-            w = None
-        return mean_row_head_latency(placement, self.cost, w, impl=self.impl)
+        return mean_row_head_latency(
+            placement, self.cost, self._weight_matrix, impl=self.impl
+        )
 
     def evaluate_many(self, placements, folded: bool = False) -> np.ndarray:
         """Price a whole population in one batched Floyd-Warshall pass.
@@ -323,9 +332,7 @@ class RowObjective:
     def _evaluate_many(self, placements, folded: bool = False) -> np.ndarray:
         if self.impl == "reference":
             return np.asarray([self._evaluate(p) for p in placements], dtype=float)
-        w = None if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w is not None and w.sum() <= 0:
-            w = None
+        w = self._weight_matrix
         if folded:
             return batched_mean_distances(placements, self.cost, w, impl=self.impl)
         fold = w is None and self._mirror_fold_safe()
@@ -342,6 +349,34 @@ class RowObjective:
         )
         by_key = dict(zip(representatives.keys(), energies.tolist()))
         return np.asarray([by_key[key] for key in keys], dtype=float)
+
+    @property
+    def prices_stacks(self) -> bool:
+        """Whether :meth:`price_stacks` serves this objective: every tier
+        but the pure-Python ``"reference"`` oracle, which prices
+        placements only."""
+        return self.impl != "reference"
+
+    def price_stacks(self, stacks: np.ndarray) -> np.ndarray:
+        """Energies of the placements behind a ``(2B, n, n)`` weight stack.
+
+        ``stacks`` is laid out as
+        :func:`~repro.routing.shortest_path.weight_stack_population`
+        lays it out, with hop costs from ``self.cost``; the annealer
+        keeps one such ``(2, n, n)`` stack per chain up to date move by
+        move and prices a memo miss here, without building a
+        placement.  ``energies[b]`` equals ``self(placement_b)`` bit for
+        bit.  Timed under ``latency.floyd_warshall`` like every other
+        evaluation.
+        """
+        w = self._weight_matrix
+        n = stacks.shape[1]
+        if w is not None and w.shape != (n, n):
+            raise ConfigurationError(f"weights shape {w.shape} != {(n, n)}")
+        if self.obs is None:
+            return stack_mean_distances(stacks, w, impl=self.impl)
+        with self.obs.span("latency.floyd_warshall"):
+            return stack_mean_distances(stacks, w, impl=self.impl)
 
     def for_slice(self, lo: int, hi: int) -> "RowObjective":
         """The objective restricted to routers ``lo .. hi - 1``.
@@ -394,13 +429,7 @@ class IncrementalRowEvaluator:
         self.engine = IncrementalApspEngine(
             placement, objective.cost, impl=objective.impl
         )
-        w = (
-            None
-            if objective.weights is None
-            else np.asarray(objective.weights, dtype=float)
-        )
-        if w is not None and w.sum() <= 0:
-            w = None
+        w = objective._weight_matrix
         if w is not None and w.shape != (placement.n, placement.n):
             raise ConfigurationError(
                 f"weights shape {w.shape} != {(placement.n, placement.n)}"

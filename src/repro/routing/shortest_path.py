@@ -28,6 +28,7 @@ centrally through :func:`repro.routing.impls.resolve_impl`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -109,6 +110,16 @@ def weight_stack(placement: RowPlacement, cost: HopCostModel) -> np.ndarray:
     return w
 
 
+def set_link_weight(stack: np.ndarray, i: int, j: int, weight: float) -> None:
+    """Write link ``(i, j)``'s hop weight into a :func:`weight_stack`
+    laid-out ``(2, n, n)`` stack in place (``INF`` removes the link).
+
+    How the annealer keeps a chain's live stack current move by move.
+    """
+    stack[0, i, j] = weight  # left-to-right
+    stack[1, j, i] = weight  # right-to-left
+
+
 def weight_stack_population(
     placements: Sequence[RowPlacement],
     cost: HopCostModel,
@@ -168,19 +179,16 @@ def batched_mean_distances(
 ) -> np.ndarray:
     """Mean directional head latency of each placement, in one FW pass.
 
-    The population version of ``mean_row_head_latency``: one
-    ``(2B, n, n)`` min-plus Floyd-Warshall prices all ``B`` placements,
-    then each mean is reduced per slice-pair with the exact operation
-    order of the scalar path -- results are bit-identical to ``B``
-    scalar evaluations.  ``weights`` (an ``n x n`` nonnegative matrix,
-    validated as in the scalar path) switches to the traffic-weighted
-    mean.  ``impl`` selects the Floyd-Warshall kernel: ``"native"``
-    swaps in the compiled pass (stack building and the pinned-order
-    mean reduction stay in NumPy -- they are O(B n^2) against the
-    pass's O(B n^3), and the reduction's pairwise-summation order is
-    part of the bit-identity contract); ``"reference"`` prices the
-    population one placement at a time through the pure-Python oracle.
-    Returns shape ``(B,)``.
+    The population version of ``mean_row_head_latency``: the
+    placements' :func:`weight_stack_population` goes through
+    :func:`stack_mean_distances`, so all ``B`` placements are priced by
+    one ``(2B, n, n)`` min-plus Floyd-Warshall and results are
+    bit-identical to ``B`` scalar evaluations.  ``weights`` (an
+    ``n x n`` nonnegative matrix, validated as in the scalar path)
+    switches to the traffic-weighted mean.  ``impl`` selects the
+    Floyd-Warshall kernel (see :func:`stack_mean_distances`);
+    ``"reference"`` prices the population one placement at a time
+    through the pure-Python oracle.  Returns shape ``(B,)``.
     """
     from repro.util.errors import ConfigurationError
 
@@ -206,14 +214,45 @@ def batched_mean_distances(
             else:
                 out.append((dist * w).sum() / total)
         return np.asarray(out, dtype=float)
-    stack = floyd_warshall_distances_batch(
-        weight_stack_population(placements, cost), impl=impl
+    return stack_mean_distances(
+        weight_stack_population(placements, cost), w, impl=impl
     )
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+
+
+@lru_cache(maxsize=None)
+def _upper_mask(n: int) -> np.ndarray:
+    """Strict upper triangle: the pairs the left-to-right pass serves."""
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
+
+
+def stack_mean_distances(
+    stacks: np.ndarray,
+    weights: np.ndarray | None = None,
+    impl: str = "vectorized",
+) -> np.ndarray:
+    """Mean directional head latency of each ``(2, n, n)`` pair of a stack.
+
+    The one kernel + reduction step behind every batched row energy:
+    ``stacks`` is laid out as :func:`weight_stack_population` lays it
+    out (slices ``2b`` / ``2b + 1`` are placement ``b``'s left-to-right
+    and right-to-left weights) -- whether freshly built from placements
+    or maintained move by move by the annealer.  One
+    :func:`floyd_warshall_distances_batch` call relaxes every slice
+    (``impl="native"`` swaps in the compiled pass), then each mean is
+    reduced per slice pair with the exact operation order of the
+    scalar path, so results are bit-identical to scalar evaluations.
+    ``weights`` (``n x n``, positive sum, validated by the caller)
+    selects the traffic-weighted mean.  ``stacks`` is not modified.
+    Like the batch kernels, this is no pure-Python oracle: the
+    ``"reference"`` tier prices placements, through
+    :func:`directional_distances`.  Returns shape ``(B,)``.
+    """
+    count, n = stacks.shape[0] // 2, stacks.shape[1]
+    dist = floyd_warshall_distances_batch(stacks, impl=impl)
     # Combine the directional pairs for all placements at once; each
     # combined[b] is then a C-contiguous (n, n) slice whose reduction
     # order matches the scalar path's freshly-allocated matrix exactly.
-    combined = np.where(upper[None, :, :], stack[0::2], stack[1::2])
+    combined = np.where(_upper_mask(n)[None, :, :], dist[0::2], dist[1::2])
     idx = np.arange(n)
     combined[:, idx, idx] = 0.0
     # Reducing each C-contiguous slice over its flattened innermost
@@ -222,9 +261,9 @@ def batched_mean_distances(
     # freshly-allocated (n, n) matrix, hence bit-identical results (a
     # fused `mean(axis=(1, 2))` over the 3-D view would not make that
     # guarantee; the property suite pins this).
-    if w is None:
-        return combined.reshape(len(placements), -1).mean(axis=1)
-    return (combined * w).reshape(len(placements), -1).sum(axis=1) / total
+    if weights is None:
+        return combined.reshape(count, -1).mean(axis=1)
+    return (combined * weights).reshape(count, -1).sum(axis=1) / weights.sum()
 
 
 def floyd_warshall_batch(
@@ -366,8 +405,7 @@ def directional_distances(
         return np.asarray(ref.directional_distances_py(placement, cost))
     n = placement.n
     stack = floyd_warshall_distances_batch(weight_stack(placement, cost), impl=impl)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    dist = np.where(upper, stack[0], stack[1])
+    dist = np.where(_upper_mask(n), stack[0], stack[1])
     np.fill_diagonal(dist, 0.0)
     return dist
 

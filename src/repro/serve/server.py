@@ -98,6 +98,8 @@ class ServeApp:
         # store is falsy and `store or DesignStore()` would discard it.
         self.store = store if store is not None else DesignStore()
         self.metrics = registry or MetricsRegistry()
+        # Corrupt-entry misses are counted with the app's own metrics.
+        self.store.metrics = self.metrics
         self.ledger = ledger
         self.capacity = capacity
         self.queue_limit = queue_limit

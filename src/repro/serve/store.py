@@ -21,14 +21,17 @@ improve the answer.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.api import PlacementResult
 from repro.obs.ledger import canonical_json, compute_run_id
-from repro.util.errors import ConfigurationError
+from repro.obs.metrics import MetricsRegistry
+from repro.util.errors import ReproError
 
 #: Default store root, a sibling of the run-ledger root.
 STORE_ROOT = os.path.join(".repro", "designs")
@@ -70,14 +73,19 @@ class StoreEntry:
 class DesignStore:
     """Reads and writes cached :class:`~repro.api.PlacementResult` entries.
 
-    Writes are atomic (temp file + ``os.replace``), so a concurrent
-    reader never sees a torn entry; identical keys overwrite
-    idempotently, which is safe because the key already pins the full
-    result-shaping identity.
+    Writes are atomic (a temp file unique to the writer, then
+    ``os.replace``), so neither a concurrent reader nor a concurrent
+    writer of the same key ever sees a torn entry; identical keys
+    overwrite idempotently, which is safe because the key already pins
+    the full result-shaping identity.  An entry that cannot be read,
+    decoded or schema-checked is a miss, counted as
+    ``serve.store.corrupt`` in ``metrics``; the recomputed result then
+    overwrites it.
     """
 
     def __init__(self, root: str = STORE_ROOT) -> None:
         self.root = root
+        self.metrics = MetricsRegistry()
 
     # -- identity ------------------------------------------------------
     def key_for(
@@ -92,13 +100,21 @@ class DesignStore:
 
     # -- read ----------------------------------------------------------
     def get(self, key: str) -> Optional[StoreEntry]:
-        """Load one entry, or ``None`` on a cache miss."""
+        """Load one entry, or ``None`` on a cache miss -- including an
+        entry that is truncated, not JSON, or not a store entry for
+        ``key`` (counted as ``serve.store.corrupt``)."""
         path = self.entry_path(key)
         if not os.path.isfile(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return self._entry_from_payload(payload)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                entry = self._entry_from_payload(json.load(fh))
+            if entry.key != key:
+                raise ValueError(f"entry at {key} is keyed {entry.key}")
+        except (OSError, ValueError, KeyError, TypeError, ReproError):
+            self.metrics.counter("serve.store.corrupt").inc()
+            return None
+        return entry
 
     def _entry_from_payload(self, payload: Dict) -> StoreEntry:
         return StoreEntry(
@@ -160,11 +176,16 @@ class DesignStore:
         )
         path = self.entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(entry.to_dict()))
-            fh.write("\n")
-        os.replace(tmp, path)
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8") as fh:
+                fh.write(canonical_json(entry.to_dict()))
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return entry
 
     # -- near-miss lookup ----------------------------------------------
@@ -189,10 +210,7 @@ class DesignStore:
         for key in self.keys():
             if key == exclude:
                 continue
-            try:
-                entry = self.get(key)
-            except (ConfigurationError, KeyError, ValueError):
-                continue  # skip corrupt/foreign entries, never fail a solve
+            entry = self.get(key)  # None for corrupt/foreign entries
             if entry is None or entry.result.space != "row":
                 continue
             if entry.result.n == n:

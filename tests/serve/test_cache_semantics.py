@@ -89,6 +89,24 @@ class TestExactHitIdentity:
         assert len(app.store) == 2
 
 
+class TestCorruptEntries:
+    def test_truncated_entry_is_a_miss_then_a_hit(self, app):
+        first = asyncio.run(_place(app, n=6, effort="smoke", warm=False))
+        path = app.store.entry_path(first["key"])
+        raw = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(raw[: len(raw) // 2])  # a torn write
+        again = asyncio.run(_place(app, n=6, effort="smoke", warm=False))
+        assert again["cache"] == "miss"
+        assert again["result_digest"] == first["result_digest"]
+        counters = app.metrics.snapshot()["counters"]
+        assert counters["serve.store.corrupt"] == 1
+        # The recompute overwrote the torn entry.
+        hit = asyncio.run(_place(app, n=6, effort="smoke", warm=False))
+        assert hit["cache"] == "hit"
+        assert hit["result"] == again["result"]
+
+
 class TestWarmNeverWorse:
     def test_injection_energy_is_min_of_cold_and_candidate(self):
         cfg = SearchConfig(seed=5)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -143,3 +144,79 @@ class TestNearest:
             fh.write('{"not": "a store entry"}')
         hit = store.nearest(6, "row")
         assert hit is not None and hit.key == entry.key
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[: len(raw) // 2],        # truncated
+        lambda raw: b"",                          # empty
+        lambda raw: b"\xff\xfe not json",         # undecodable
+        lambda raw: b"[1, 2, 3]",                 # JSON, wrong shape
+        lambda raw: raw.replace(b'"key"', b'"kee"', 1),  # schema
+    ])
+    def test_unreadable_entry_is_a_counted_miss(self, store, damage):
+        params, cfg, result = _solve()
+        entry = store.put("optimize", params, cfg, cfg.seed, result,
+                          sweep_digest(result.sweep))
+        path = store.entry_path(entry.key)
+        raw = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(damage(raw))
+        assert store.get(entry.key) is None
+        assert store.metrics.snapshot()["counters"]["serve.store.corrupt"] == 1
+        store.put("optimize", params, cfg, cfg.seed, result,
+                  sweep_digest(result.sweep))
+        assert store.get(entry.key).result == result
+
+    def test_entry_under_a_foreign_key_is_a_miss(self, store):
+        params, cfg, result = _solve()
+        entry = store.put("optimize", params, cfg, cfg.seed, result,
+                          sweep_digest(result.sweep))
+        other = "f" * 16
+        os.makedirs(os.path.dirname(store.entry_path(other)))
+        os.replace(store.entry_path(entry.key), store.entry_path(other))
+        assert store.get(other) is None
+
+    def test_interleaved_writers_of_one_key_leave_a_readable_entry(
+        self, store, monkeypatch
+    ):
+        # Writer A is paused between its write and its replace while
+        # writer B writes and publishes the same key; then A finishes.
+        params, cfg, result = _solve()
+        digest = sweep_digest(result.sweep)
+        real_replace = os.replace
+        a_written, b_done = threading.Event(), threading.Event()
+        paused = []
+
+        def replace(src, dst):
+            if not paused:
+                paused.append(src)
+                a_written.set()
+                assert b_done.wait(10)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        errors = []
+
+        def writer_a():
+            try:
+                store.put("optimize", params, cfg, cfg.seed, result, digest)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer_a)
+        thread.start()
+        assert a_written.wait(10)
+        try:
+            store.put("optimize", params, cfg, cfg.seed, result, digest)
+        finally:
+            b_done.set()
+            thread.join(10)
+        assert errors == []
+        key = store.key_for("optimize", params, cfg, cfg.seed)
+        loaded = store.get(key)
+        assert loaded is not None and loaded.result == result
+        assert store.metrics.snapshot()["counters"].get(
+            "serve.store.corrupt", 0) == 0
+        leftovers = os.listdir(os.path.dirname(store.entry_path(key)))
+        assert leftovers == ["result.json"]
